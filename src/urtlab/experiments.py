@@ -31,12 +31,11 @@ import numpy as np
 
 from . import bounds as bnd
 from . import oracle
-from .moments import ExponentVector, MomentTable, factorial_moments_float
+from .moments import EXACT_MOMENT_MAX_N, ExponentVector, MomentTable, factorial_moments_float
 from .rng import check_seed, derive_seed, generator
 from .tree import GrowthModel, _levels_from_parents, _preferential_parents, _uniform_parents
 
 SCHEMA = "urt-report/1"
-EXACT_MOMENT_MAX_N = 4096  # rational recursion stays cheap up to here
 WORKER_ENV = "URT_THREADS"
 EXECUTION_ONLY = ("workers", "out")  # config fields kept out of reports
 
@@ -59,6 +58,11 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        name = EXPERIMENT_ALIASES.get(self.experiment, self.experiment)
+        if name not in EXPERIMENTS:
+            known = ", ".join(sorted(EXPERIMENTS))
+            raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
+        object.__setattr__(self, "experiment", name)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
@@ -804,11 +808,5 @@ EXPERIMENT_ALIASES = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on ``config.experiment`` (aliases allowed)."""
-    name = EXPERIMENT_ALIASES.get(config.experiment, config.experiment)
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {config.experiment!r}; known: {known}") from None
-    return runner(config)
+    """Dispatch on ``config.experiment``, which the config has already resolved."""
+    return EXPERIMENTS[config.experiment](config)

@@ -1,20 +1,25 @@
 """Ground-truth engines independent of the Monte Carlo paths.
 
-Two kinds of oracle live here:
+* Exhaustive enumeration of all ``(n-1)!`` attachment sequences for small
+  ``n`` gives exact rational laws of any registered tree statistic.
+* Single-node laws at medium ``n`` are coefficients of one truncated
+  product.  With ``prod_l (1 + w_l z) = sum_m e_m(w) z^m`` (elementary
+  symmetric functions) and ``1 - 1/j + z/j = ((j-1)/j) (1 + z/(j-1))``:
 
-* exhaustive enumeration of all ``(n-1)!`` attachment sequences for small
-  ``n``, giving exact rational laws of any registered tree statistic;
-* semi-analytic dynamic programs for single-node quantities at medium
-  ``n``: the level distribution of node ``i`` and the tail of its child
-  count (a Poisson-binomial sum of indicators with means ``1/j``).
+  - ``P(level(i) = k) = e_{k-1}(1, 1/2, .., 1/(i-1)) / i`` for ``i >= 1``;
+  - ``E|L_n(k)| = e_k(1, 1/2, .., 1/(n-1))``, the unsigned Stirling number
+    of the first kind ``[n, k+1]`` over ``(n-1)!``;
+  - the number ``X`` of nodes ``j = i+1..n`` attaching to node ``i`` has
+    ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``, hence
+    ``P(X > c) = 1 - (i/n) sum_{m <= c} e_m``.
 
-Exact rational arithmetic is used up to ``n = 64``; larger instances run
-in double precision, and results carry an ``exact`` flag where the
-distinction matters.
+  :func:`_truncated_product` computes them all, in exact rationals up to
+  ``n = 64`` and in double precision beyond.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,6 +135,10 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
     except KeyError:
         known = ", ".join(sorted(STATISTICS))
         raise ValueError(f"unknown statistic {statistic!r}; registered: {known}") from None
+    try:
+        inspect.signature(fn).bind(None, **params)
+    except TypeError as exc:
+        raise ValueError(f"statistic {statistic!r}: {exc}") from None
     counts: dict[int, int] = {}
     total = 0
     for tree in enumerate_trees(n):
@@ -192,11 +201,71 @@ class LevelDistribution:
         return iter(self.probs)
 
 
+def _weights(lo: int, hi: int, exact: bool):
+    """The weights ``1/lo, .., 1/(hi-1)`` as ``(scale / j, scale)``: exact ones as
+    Python ints over their least common multiple, which spares the passes the
+    gcds of Fraction arithmetic, float ones as float64 over 1."""
+    j = np.arange(lo, hi, dtype=object if exact else float)
+    if exact:
+        scale = math.lcm(*range(lo, hi))
+        return scale // j, scale
+    return 1.0 / j, 1.0
+
+
+def _truncated_product(w: np.ndarray, order: int, start=None) -> Iterator[np.ndarray]:
+    """Rows ``m = 0..order`` of the prefix elementary symmetric functions of ``w``.
+
+    Entry ``j`` of row ``m`` is the coefficient of ``z^m`` in
+    ``start(z) * prod_{l<j} (1 + w[l] z)`` for ``j = 0..len(w)``; with the
+    default ``start = 1`` that is ``e_m(w[0], .., w[j-1])``.  Row ``m`` is
+    ``start[m]`` plus the cumulative sum of ``w`` times row ``m-1``: the same
+    passes run on float64 and on object arrays of ints or Fractions, and
+    memory stays at two rows."""
+    if start is None:
+        start = [1] + [0] * order
+    row = np.full(w.size + 1, start[0], dtype=w.dtype)
+    yield row
+    for m in range(1, order + 1):
+        row = np.concatenate(([start[m]], start[m] + np.cumsum(w * row[:-1])))
+        yield row
+
+
+def _truncated_total(lo: int, hi: int, exact: bool, order: int, block: int = 4096) -> list:
+    """``e_0..e_order`` of the weights ``1/lo, .., 1/(hi-1)``, as Fractions when
+    ``exact`` and floats otherwise.  The weights are made and carried block by
+    block, so no temporary grows with ``hi - lo``."""
+    num = Fraction if exact else float
+    e = None
+    for b in range(lo, max(hi, lo + 1), block):
+        w, scale = _weights(b, min(b + block, hi), exact)
+        start = None if e is None else [c * scale**m for m, c in enumerate(e)]
+        rows = _truncated_product(w, order, start)
+        e = [num(row[-1]) / scale**m for m, row in enumerate(rows)]
+    return e
+
+
+def _upper_sums(w: np.ndarray, threshold: float) -> np.ndarray:
+    """``sum_{m > threshold} e_m`` of every prefix of the float weights ``w``.
+
+    ``1 - sum_{m <= threshold}`` would cancel for tiny tails, so the rows
+    above the threshold are added directly, until none of them changes any
+    sum: the coefficients are log-concave, so what is left is below rounding.
+    """
+    rows = _truncated_product(w, w.size)
+    sums = 0 * next(rows)
+    for m, row in enumerate(rows, start=1):
+        if m > threshold:
+            grown = sums + row
+            if np.array_equal(grown, sums):
+                break
+            sums = grown
+    return sums
+
+
 def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> LevelDistribution:
     """Distribution of node ``i``'s level, truncated at ``kmax``.
 
-    Uses the averaging recursion
-    ``P(level(i)=k) = (1/i) * sum_{j<i} P(level(j)=k-1)``.
+    ``P(level(i) = k) = e_{k-1}(1, 1/2, .., 1/(i-1)) / i`` for ``i >= 1``.
     ``exact=None`` selects rational arithmetic for ``i <= 64`` and double
     precision beyond.
     """
@@ -207,46 +276,16 @@ def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> LevelDistri
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if exact is None:
         exact = i <= RATIONAL_DP_MAX_NODES
-    if exact:
-        cum = [Fraction(0)] * (kmax + 1)
-        cum[0] = Fraction(1)  # node 0 sits at level 0
-        probs = [Fraction(0)] * (kmax + 1)
-        probs[0] = Fraction(1)
-        for j in range(1, i + 1):
-            probs = [Fraction(0)] + [c / j for c in cum[:-1]]
-            cum = [a + b for a, b in zip(cum, probs)]
-        return LevelDistribution(i, tuple(probs), True)
-    cum = np.zeros(kmax + 1)
-    cum[0] = 1.0
-    probs = np.zeros(kmax + 1)
-    probs[0] = 1.0
-    for j in range(1, i + 1):
-        probs = np.empty(kmax + 1)
-        probs[0] = 0.0
-        probs[1:] = cum[:-1] / j
-        cum = cum + probs
-    return LevelDistribution(i, tuple(float(p) for p in probs), False)
-
-
-def _level_mass_sweep(n: int, kmax: int):
-    """Float DP over all nodes; returns (per-node pmf matrix row sums).
-
-    ``mass[k]`` accumulates ``sum_{i=0}^{n-1} P(level(i)=k)``, i.e. the
-    expected size of level ``k`` in an ``n``-node tree, and the matrix of
-    per-node laws is not kept.
-    """
-    cum = np.zeros(kmax + 1)
-    cum[0] = 1.0
-    for j in range(1, n):
-        probs = np.empty(kmax + 1)
-        probs[0] = 0.0
-        probs[1:] = cum[:-1] / j
-        cum = cum + probs
-    return cum
+    e = _truncated_total(1, i, exact, kmax)
+    probs = e if i == 0 else [0 * e[0]] + [c / i for c in e[:-1]]  # the root has level 0
+    return LevelDistribution(i, tuple(probs), exact)
 
 
 def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
-    """Exact ``E|L_n(k)| = sum_i P(level(i) = k)`` over nodes ``0..n-1``."""
+    """``E|L_n(k)| = e_k(1, 1/2, .., 1/(n-1))``, the expected size of level ``k``.
+
+    Rational for ``n <= 64`` unless ``exact`` says otherwise.
+    """
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -254,21 +293,7 @@ def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
         raise ValueError(f"level must be nonnegative, got {k}")
     if exact is None:
         exact = n <= RATIONAL_DP_MAX_NODES
-    kmax = max(k + 1, _default_kmax(n))
-    if exact:
-        cum = [Fraction(0)] * (kmax + 1)
-        cum[0] = Fraction(1)
-        for j in range(1, n):
-            probs = [Fraction(0)] + [c / j for c in cum[:-1]]
-            cum = [a + b for a, b in zip(cum, probs)]
-        return cum[k] if k <= kmax else Fraction(0)
-    mass = _level_mass_sweep(n, kmax)
-    return float(mass[k]) if k <= kmax else 0.0
-
-
-def _default_kmax(n: int) -> int:
-    # levels concentrate near ln(n); 4x leaves the truncated mass below 1e-15
-    return max(8, int(4 * math.log(max(n, 2))) + 8)
+    return _truncated_total(1, n, exact, k)[k]
 
 
 def degree_tail(i: int, n: int, threshold: float):
@@ -279,8 +304,8 @@ def degree_tail(i: int, n: int, threshold: float):
     ``1 + X`` with ``n = m - 1``, so ``P(deg > c)`` is
     ``degree_tail(i, m - 1, c - 1)``.
 
-    Exact convolution; rational arithmetic for ``n <= 64``, float beyond.
-    Guarded to ``n - i <= 10^4`` terms.
+    ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``; rational arithmetic for
+    ``n <= 64``, float beyond.  Guarded to ``n - i <= 10^4`` terms.
     """
     i = int(i)
     n = int(n)
@@ -293,35 +318,19 @@ def degree_tail(i: int, n: int, threshold: float):
     exact = n <= RATIONAL_DP_MAX_NODES
     if threshold < 0:
         return Fraction(1) if exact else 1.0
-    if exact:
-        pmf = [Fraction(1)]
-        for j in range(i + 1, n + 1):
-            p = Fraction(1, j)
-            q = 1 - p
-            nxt = [pmf[0] * q]
-            for m in range(1, len(pmf)):
-                nxt.append(pmf[m] * q + pmf[m - 1] * p)
-            nxt.append(pmf[-1] * p)
-            pmf = nxt
-        return sum((pmf[m] for m in range(len(pmf)) if m > threshold), start=Fraction(0))
-    pmf = np.array([1.0])
-    for j in range(i + 1, n + 1):
-        p = 1.0 / j
-        nxt = np.empty(pmf.size + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[-1] = 0.0
-        nxt[1:] += pmf * p
-        pmf = nxt
-    values = np.arange(pmf.size)
-    return float(pmf[values > threshold].sum())
+    if exact:  # the complement loses nothing in rationals and takes the fewest rows
+        head = _truncated_total(i, n, True, math.floor(min(threshold, n - i)))
+        return 1 - Fraction(i, n) * sum(head)
+    return float(_upper_sums(_weights(i, n, False)[0], threshold)[-1] * i / n)
 
 
 def child_count_tails(n: int, threshold: float) -> np.ndarray:
     """Tails ``P(X_i > threshold)`` for every node ``i = 1..n-1`` at once.
 
     ``X_i = sum_{j=i+1}^{n-1} Bernoulli(1/j)`` is the child count of node
-    ``i`` in an ``n``-node tree.  One backward convolution pass shares work
-    across all nodes; double precision.
+    ``i`` in an ``n``-node tree; ``P(X_i = m) = (i/(n-1)) e_m(1/i, ..,
+    1/(n-2))``.  The suffixes are the prefixes of the reversed weights, so
+    one pass per coefficient serves every node; double precision.
     """
     n = int(n)
     if n < 2:
@@ -330,19 +339,10 @@ def child_count_tails(n: int, threshold: float) -> np.ndarray:
         raise ResourceGuardError(
             f"tail sweep is guarded to n <= {DEGREE_TAIL_MAX_SPAN + 2}, got {n}"
         )
-    tails = np.zeros(n)
-    pmf = np.array([1.0])  # X_{n-1} is an empty sum
-    tails[n - 1] = 1.0 if threshold < 0 else 0.0
-    for i in range(n - 2, 0, -1):
-        p = 1.0 / (i + 1)  # node i+1 attaches to i with probability 1/(i+1)
-        nxt = np.empty(pmf.size + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[-1] = 0.0
-        nxt[1:] += pmf * p
-        pmf = nxt
-        values = np.arange(pmf.size)
-        tails[i] = float(pmf[values > threshold].sum())
-    return tails[1:]
+    if threshold < 0:
+        return np.ones(n - 1)
+    w, _ = _weights(1, n - 1, False)
+    return _upper_sums(w[::-1], threshold)[::-1] * np.arange(1, n) / (n - 1)
 
 
 def node_level_probabilities(n: int, k: int) -> np.ndarray:
@@ -352,17 +352,8 @@ def node_level_probabilities(n: int, k: int) -> np.ndarray:
         raise ValueError(f"need n >= 2, got {n}")
     if k < 1:
         raise ValueError(f"level must be >= 1 for non-root nodes, got {k}")
-    kmax = max(k, _default_kmax(n))
-    out = np.empty(n - 1)
-    cum = np.zeros(kmax + 1)
-    cum[0] = 1.0
-    for i in range(1, n):
-        probs = np.empty(kmax + 1)
-        probs[0] = 0.0
-        probs[1:] = cum[:-1] / i
-        out[i - 1] = probs[k]
-        cum = cum + probs
-    return out
+    *_, row = _truncated_product(_weights(1, n - 1, False)[0], k - 1)
+    return row / np.arange(1, n)
 
 
 def expected_exceedance_count(n: int, k: int, t: float) -> float:
@@ -375,8 +366,8 @@ def expected_exceedance_count(n: int, k: int, t: float) -> float:
 
         sum_{i>=1} P(level(i) = k) * P(X_i > t*ln(n) - 1).
 
-    Double precision throughout (the per-term DPs are exact convolutions
-    and averaging recursions, accurate to ~1e-12).
+    Double precision throughout; both factors are sums of positive
+    truncated-product coefficients, accurate to rounding.
     """
     n = int(n)
     if n < 2:

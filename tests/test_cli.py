@@ -109,6 +109,26 @@ def test_moments_table_csv(tmp_path, capsys):
     assert "3,0-1,1,2" in lines
 
 
+def test_moments_beyond_the_exact_guard_exits_2(capsys):
+    """The guard is checked before the sweep starts, so these return at once."""
+    code, out, err = run_cli(capsys, "moments", "--n", "1000000", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "guarded to n <= 10000" in err
+    code, _, err = run_cli(capsys, "moments", "--n", "4", "--k", "1", "--table",
+                           "--ns", "4,20001")
+    assert code == 2 and "Traceback" not in err
+
+
+def test_enumerate_rejects_parameters_the_statistic_does_not_take(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--statistic", "max_degree",
+                             "--k", "1")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "unexpected keyword argument 'k'" in err
+    code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--statistic",
+                           "level_degree_count")
+    assert code == 1 and "missing a required argument: 'd'" in err
+
+
 def test_enumerate_distribution(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--statistic",
                            "level_degree_count", "--d", "1")

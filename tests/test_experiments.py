@@ -236,6 +236,15 @@ def test_aliases_cover_spec_ids():
     assert rep.experiment == "level_exceedance"
 
 
+def test_alias_and_canonical_id_give_the_same_report():
+    alias = run_experiment(small_config(experiment="theorem21", replications=5))
+    canonical = run_experiment(small_config(experiment="level_exceedance", replications=5))
+    assert alias.config["experiment"] == "level_exceedance"
+    assert alias.canonical_bytes() == canonical.canonical_bytes()
+    with pytest.raises(ValueError, match="unknown experiment 'theorem99'; known: "):
+        small_config(experiment="theorem99")
+
+
 def test_report_serialization_round_trip(tmp_path):
     rep = run_experiment(small_config(replications=5))
     path = tmp_path / "report.json"

@@ -1,4 +1,5 @@
 import io
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -154,3 +155,19 @@ def test_moment_value_of_one_is_exact_not_approximate():
     value = exact_factorial_moment(1000, (1,))
     assert value == Fraction(1, 1)
     assert isinstance(value, Fraction)
+
+
+def test_moment_table_equals_a_plain_rational_recursion():
+    """Every closure vector of the first-level targets, every n <= 200."""
+    targets = [ExponentVector(k) for k in itertools.product(range(4), repeat=3) if 1 <= sum(k) <= 3]
+    table = MomentTable.for_targets(targets, range(2, 201))
+    vectors = table.vectors
+    row = {v: Fraction(int(v.k[0] <= 1 and not any(v.k[1:]))) for v in vectors}
+    for n in range(2, 201):
+        for v in vectors:
+            assert table.value(n, v) == row[v], (n, v)
+        row = {
+            v: Fraction(n - v.total, n) * row[v]
+            + sum(Fraction(w, n) * row[moved] for w, moved in v.moves())
+            for v in vectors
+        }

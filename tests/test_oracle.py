@@ -141,6 +141,11 @@ def test_degree_tail_guard_and_domain():
         degree_tail(10, 10, 1)
 
 
+def test_degree_tail_above_every_count_is_zero():
+    for n in (30, 300):
+        assert degree_tail(1, n, n) == 0 and degree_tail(1, n, math.inf) == 0
+
+
 def test_degree_tail_mean_telescopes_to_harmonic_sum():
     i, n = 9, 100
     mean = sum(float(degree_tail(i, n, a)) for a in range(0, n - i + 1))
@@ -225,3 +230,81 @@ def test_enumeration_moment_against_marginal_factorial_moment():
                 vec = (0,) * (d - 1) + (order,)
                 dist = exact_statistic_distribution(n, "level_degree_count", d=d)
                 assert enumeration_moment(n, vec) == dist.factorial_moment(order)
+
+
+# Independent cross-checks of the truncated-product engines
+
+
+def _rising_coefficients(lo, hi, order):
+    """Integer coefficients of ``prod_{m=lo}^{hi-1} (m + z)`` up to ``z^order``."""
+    coef = [1] + [0] * order
+    for m in range(lo, hi):
+        for k in range(order, 0, -1):
+            coef[k] = m * coef[k] + coef[k - 1]
+        coef[0] *= m
+    return coef
+
+
+def test_expected_level_size_is_a_stirling_number():
+    """(n-1)! E|L_n(k)| = [n, k+1] for every n <= 64 and every level."""
+    # [n, j] = (n-1) [n-1, j] + [n-1, j-1]: unsigned Stirling numbers of the first kind
+    stirling = [[1]]
+    for n in range(1, 65):
+        prev = stirling[-1] + [0]
+        stirling.append([(n - 1) * prev[j] + (prev[j - 1] if j else 0) for j in range(n + 1)])
+    for n in range(1, 65):
+        for k in range(n):
+            value = expected_level_size(n, k)
+            assert isinstance(value, Fraction)
+            assert value * math.factorial(n - 1) == stirling[n][k + 1], (n, k)
+        assert expected_level_size(n, n) == 0
+    # past one block of weights the exact sweep carries rationals from block to block
+    h1 = sum(Fraction(1, j) for j in range(1, 4200))
+    h2 = sum(Fraction(1, j * j) for j in range(1, 4200))
+    assert expected_level_size(4200, 2, exact=True) == (h1 * h1 - h2) / 2
+
+
+def test_exact_degree_tail_equals_enumerated_child_count_law():
+    for m in range(3, 9):  # trees on m nodes: degree_tail(i, m - 1, .) covers nodes i+1..m-1
+        counts = {}
+        for tree in enumerate_trees(m):
+            for i in range(1, m - 1):
+                key = (i, int(tree.degree[i]) - 1)
+                counts[key] = counts.get(key, 0) + 1
+        for i in range(1, m - 1):
+            for a in (-1, 0, 0.5, 1, 2, 2.5, m):
+                above = sum(c for (j, ch), c in counts.items() if j == i and ch > a)
+                tail = degree_tail(i, m - 1, a)
+                assert isinstance(tail, Fraction)
+                assert tail == Fraction(above, tree_count(m)), (m, i, a)
+
+
+def test_child_count_tails_against_rational_evaluation():
+    n = 2001
+    for threshold in (0.0, 3.0, 6.4, 12.0):
+        tails = child_count_tails(n, threshold)
+        c = math.floor(threshold)
+        for i in (1, 2, 7, 100, 1000, 1990, n - 2):
+            # P(X_i = m) = (i / (n-1)) [z^m] prod_{m=i}^{n-2} (m + z) / prod_{m=i}^{n-2} m
+            coef = _rising_coefficients(i, n - 1, c)
+            head = Fraction(sum(coef), math.prod(range(i, n - 1)))
+            exact = 1 - Fraction(i, n - 1) * head
+            assert abs(Fraction(float(tails[i - 1])) - exact) <= Fraction(1, 10**15), (threshold, i)
+
+
+def test_float_level_profile_at_a_million_matches_closed_forms():
+    n = 10**6
+    p1, p2, p3 = (math.fsum(1.0 / j**r for j in range(1, n)) for r in (1, 2, 3))
+    closed = {1: p1, 2: (p1 * p1 - p2) / 2, 3: (p1**3 - 3 * p1 * p2 + 2 * p3) / 6}
+    for k, value in closed.items():
+        assert expected_level_size(n, k, exact=False) == pytest.approx(value, rel=1e-13, abs=0)
+
+
+def test_tiny_tails_keep_their_relative_accuracy():
+    """Tails far below rounding of 1 come from the upper coefficients, not 1 - head."""
+    i, n, c = 1500, 2000, 10
+    coef = _rising_coefficients(i, n, n - i)
+    exact = Fraction(i, n) * Fraction(sum(coef[c + 1:]), math.prod(range(i, n)))
+    assert 0 < exact < 1e-12
+    assert degree_tail(i, n, c) == pytest.approx(float(exact), rel=1e-12)
+    assert child_count_tails(n + 1, c)[i - 1] == pytest.approx(float(exact), rel=1e-12)
