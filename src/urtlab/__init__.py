@@ -45,6 +45,7 @@ from .moments import (
 from .oracle import (
     ExactDistribution,
     LevelDistribution,
+    degree_head,
     degree_tail,
     enumerate_trees,
     enumeration_moment,
@@ -99,6 +100,7 @@ __all__ = [
     "chernoff_upper_raw",
     "degree_counts_in_level",
     "degree_histogram",
+    "degree_head",
     "degree_tail",
     "dependency_closure",
     "derive_seed",

@@ -178,9 +178,7 @@ def _cmd_bounds(args) -> int:
                 payload["exact_tail_geq_a"] = float(
                     oracle.degree_tail(args.i, args.n, strict_below)
                 )
-                payload["exact_tail_leq_a"] = 1.0 - float(
-                    oracle.degree_tail(args.i, args.n, a)
-                )
+                payload["exact_tail_leq_a"] = float(oracle.degree_head(args.i, args.n, a))
     if args.t is not None:
         if args.n is None:
             raise ValueError("--t needs --n")

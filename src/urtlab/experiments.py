@@ -10,8 +10,11 @@ the worker count changes wall time only.
 
 Replications run in a process pool when ``workers > 1``.  Per-replication
 kernels are plain functions of ``(cfg, seed)``; they rebuild trees from the
-same growth primitives as :func:`urtlab.tree.grow` but skip arrays the
-experiment does not read (levels, mostly), which matters at ``n = 10^6``.
+same growth primitives as :func:`urtlab.tree.grow` (uniform draws, or the
+pointer-jumping resolution of preferential endpoint picks) but skip arrays
+the experiment does not read (levels, mostly), which matters at
+``n = 10^6``.  Only ``degree_distribution`` grows preferential trees; the
+other experiments are about uniform trees and refuse any other model.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .tree import GrowthModel, _levels_from_parents, _preferential_parents, _uni
 SCHEMA = "urt-report/1"
 WORKER_ENV = "URT_THREADS"
 EXECUTION_ONLY = ("workers", "out")  # config fields kept out of reports
+MODEL_EXPERIMENTS = ("degree_distribution",)  # the only ones that read config.model
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,11 @@ class ExperimentConfig:
         if min(self.n_grid) < model.min_nodes:
             raise ValueError(
                 f"{model.name} growth needs n >= {model.min_nodes}, got {min(self.n_grid)}"
+            )
+        if model is not GrowthModel.UNIFORM and name not in MODEL_EXPERIMENTS:
+            raise ValueError(
+                f"experiment {name!r} grows uniform trees only; model {self.model!r} "
+                f"applies to {', '.join(MODEL_EXPERIMENTS)}"
             )
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
@@ -221,7 +230,7 @@ def _grow_arrays(model: str, n: int, seed: int, want_levels: bool):
     if model == "uniform":
         parent = _uniform_parents(n, rng)
     else:
-        parent, _ = _preferential_parents(n, rng)
+        parent = _preferential_parents(n, rng)
     degree = np.bincount(parent[1:], minlength=n)
     degree[1:] += 1
     level = _levels_from_parents(parent) if want_levels else None
@@ -756,8 +765,10 @@ def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
                 for i in indices:
                     s = bnd.expected_children(i, n)
                     if exact_ok:
-                        exceed = float(oracle.degree_tail(i, n, threshold))
-                        tail = exceed if side == "upper" else 1.0 - exceed
+                        if side == "upper":
+                            tail = float(oracle.degree_tail(i, n, threshold))
+                        else:  # the head itself, not 1 - tail, which cancels when small
+                            tail = float(oracle.degree_head(i, n, threshold))
                         se = None
                         mode = "exact"
                     else:

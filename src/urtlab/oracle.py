@@ -11,7 +11,8 @@
     of the first kind ``[n, k+1]`` over ``(n-1)!``;
   - the number ``X`` of nodes ``j = i+1..n`` attaching to node ``i`` has
     ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``, hence
-    ``P(X > c) = 1 - (i/n) sum_{m <= c} e_m``.
+    ``P(X <= c) = (i/n) sum_{m <= c} e_m`` and
+    ``P(X > c) = (i/n) sum_{m > c} e_m``.
 
   :func:`_truncated_product` computes them all, in exact rationals up to
   ``n = 64`` and in double precision beyond.
@@ -22,7 +23,9 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -155,27 +158,42 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
     )
 
 
+@lru_cache(maxsize=None)  # the enumeration guard keeps n, hence the cache, small
+def _first_level_count_law(n: int) -> tuple:
+    """Joint law of the first-level degree counts on ``n`` nodes, by enumeration.
+
+    Each entry pairs one value of the counts, as sorted ``(d, X_d)`` pairs,
+    with the number of attachment sequences that produce it; the numbers sum
+    to ``(n-1)!``.
+    """
+    law = Counter(
+        tuple(sorted(degree_counts_in_level(tree, 1).counts.items()))
+        for tree in enumerate_trees(n)
+    )
+    return tuple(law.items())
+
+
 def enumeration_moment(n: int, k: VectorLike) -> Fraction:
     """Brute-force joint factorial moment of the first-level degree counts.
 
     Averages ``prod_d (X_d)_{k_d}`` over every attachment sequence, where
     ``X_d`` counts level-1 nodes of degree ``d``.  This is the independent
-    check for the recursion-based values in :mod:`urtlab.moments`.
+    check for the recursion-based values in :mod:`urtlab.moments`.  The trees
+    are enumerated once per ``n``; every exponent vector reduces over the
+    tabulated joint law of the counts.
     """
     vec = ExponentVector.of(k)
-    total = Fraction(0)
+    total = 0
     count = 0
-    for tree in enumerate_trees(n):
-        counts = degree_counts_in_level(tree, 1).counts
-        prod = 1
+    for pairs, trees in _first_level_count_law(int(n)):
+        counts = dict(pairs)
+        prod = trees
         for d, kd in enumerate(vec.k, start=1):
             if kd:
                 prod *= falling_factorial(counts.get(d, 0), kd)
-                if prod == 0:
-                    break
         total += prod
-        count += 1
-    return total / count
+        count += trees
+    return Fraction(total, count)
 
 
 @dataclass(frozen=True)
@@ -296,6 +314,39 @@ def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
     return _truncated_total(1, n, exact, k)[k]
 
 
+def _tail_span(i: int, n: int) -> tuple[int, int]:
+    i = int(i)
+    n = int(n)
+    if not 1 <= i < n:
+        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
+    if n - i > DEGREE_TAIL_MAX_SPAN:
+        raise ResourceGuardError(
+            f"degree_tail is guarded to n - i <= {DEGREE_TAIL_MAX_SPAN}, got {n - i}"
+        )
+    return i, n
+
+
+def degree_head(i: int, n: int, threshold: float):
+    """``P(X <= threshold)`` for the ``X`` of :func:`degree_tail`.
+
+    ``(i/n) sum_{m <= threshold} e_m(1/i, .., 1/(n-1))``: a sum of positive
+    coefficients, so a small head keeps its relative accuracy, where
+    ``1 - degree_tail`` would cancel.  Rational for ``n <= 64``, float
+    beyond; guarded like :func:`degree_tail`.  The float passes run in long
+    double, whose 64-bit mantissa (x86-64) keeps the error of up to 10^4
+    cumulative-sum steps below one unit in the last place of the result.
+    """
+    i, n = _tail_span(i, n)
+    exact = n <= RATIONAL_DP_MAX_NODES
+    if threshold < 0:
+        return Fraction(0) if exact else 0.0
+    order = math.floor(min(threshold, n - i))
+    if exact:
+        return Fraction(i, n) * sum(_truncated_total(i, n, True, order))
+    w = 1 / np.arange(i, n, dtype=np.longdouble)
+    return float(sum(row[-1] for row in _truncated_product(w, order)) * i / n)
+
+
 def degree_tail(i: int, n: int, threshold: float):
     """``P(X > threshold)`` for ``X = sum_{j=i+1}^{n} Bernoulli(1/j)``.
 
@@ -307,20 +358,11 @@ def degree_tail(i: int, n: int, threshold: float):
     ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``; rational arithmetic for
     ``n <= 64``, float beyond.  Guarded to ``n - i <= 10^4`` terms.
     """
-    i = int(i)
-    n = int(n)
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    if n - i > DEGREE_TAIL_MAX_SPAN:
-        raise ResourceGuardError(
-            f"degree_tail is guarded to n - i <= {DEGREE_TAIL_MAX_SPAN}, got {n - i}"
-        )
-    exact = n <= RATIONAL_DP_MAX_NODES
+    i, n = _tail_span(i, n)
+    if n <= RATIONAL_DP_MAX_NODES:  # the complement loses nothing in rationals
+        return 1 - degree_head(i, n, threshold)
     if threshold < 0:
-        return Fraction(1) if exact else 1.0
-    if exact:  # the complement loses nothing in rationals and takes the fewest rows
-        head = _truncated_total(i, n, True, math.floor(min(threshold, n - i)))
-        return 1 - Fraction(i, n) * sum(head)
+        return 1.0
     return float(_upper_sums(_weights(i, n, False)[0], threshold)[-1] * i / n)
 
 

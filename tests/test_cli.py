@@ -1,8 +1,12 @@
 import json
+import struct
+import tracemalloc
 
 import pytest
 
 from urtlab.cli import cli_main
+from urtlab.experiments import EXPERIMENTS, MODEL_EXPERIMENTS
+from urtlab.tree import load_tree
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +55,42 @@ def test_generate_stats_pipeline(tmp_path, capsys):
     assert sum(payload["degree_histogram"].values()) == 500
     assert payload["max_degree"] >= 2
     assert len(payload["exceedance_fractions"]) == 2
+
+
+def _tree_file(tmp_path, n, parents, extra=b""):
+    """A URT1 dump with header node count ``n`` (uniform, seed 0) and the given parents."""
+    path = tmp_path / "t.urt"
+    body = struct.pack(f"<{len(parents)}I", *parents)
+    path.write_bytes(struct.pack("<4sQBQ", b"URT1", n, 0, 0) + body + extra)
+    return path
+
+
+def _assert_bad_tree_file(capsys, path, message):
+    with pytest.raises(ValueError, match=message):
+        load_tree(path)
+    code, out, err = run_cli(capsys, "stats", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_load_tree_rejects_trailing_bytes(tmp_path, capsys):
+    path = _tree_file(tmp_path, 4, [0, 0, 1], extra=b"\x00")
+    _assert_bad_tree_file(capsys, path, "needs 12 bytes of parent entries, but the file holds 13")
+
+
+def test_load_tree_rejects_zero_nodes(tmp_path, capsys):
+    _assert_bad_tree_file(capsys, _tree_file(tmp_path, 0, []), "node count must be >= 1, got 0")
+
+
+def test_load_tree_refuses_a_corrupt_huge_n_before_allocating(tmp_path, capsys):
+    path = _tree_file(tmp_path, 2**62, [0, 0, 1])
+    tracemalloc.start()
+    try:
+        _assert_bad_tree_file(capsys, path, f"header says n = {2**62}")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_stats_from_seed(capsys):
@@ -160,6 +200,13 @@ def test_bounds_command(capsys):
     assert payload["low_index_bound"] == pytest.approx(0.8913, abs=5e-5)
 
 
+def test_bounds_small_exact_head_keeps_its_digits(capsys):
+    # P(X <= 0) = P(no node after 2 attaches to it) = 2 / 10001; 1 - P(X > 0) cancels
+    code, out, _ = run_cli(capsys, "bounds", "--i", "2", "--n", "10001", "--a", "0")
+    assert code == 0
+    assert json.loads(out)["exact_tail_leq_a"] == pytest.approx(2 / 10001, rel=1e-15)
+
+
 def test_bounds_domain_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "bounds", "--n", "100", "--t", "0.5", "--eps", "0.9")
     assert code == 1
@@ -210,6 +257,19 @@ def test_experiment_csv_to_stdout(capsys):
     )
     assert code == 0
     assert out.startswith("# schema: urt-report/1")
+
+
+def test_experiment_refuses_a_model_it_does_not_grow(capsys):
+    """Only degree_distribution grows preferential trees; the rest would
+    simulate uniform trees under a config that says otherwise."""
+    uniform_only = sorted(set(EXPERIMENTS) - set(MODEL_EXPERIMENTS))
+    assert len(uniform_only) == 6
+    for experiment in uniform_only + ["theorem21"]:
+        code, out, err = run_cli(capsys, "experiment", experiment, "--n", "50", "--reps", "4",
+                                 "--seed", "1", "--k", "2", "--model", "preferential",
+                                 "--workers", "1")
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "grows uniform trees only" in err
 
 
 def test_experiment_invalid_grid(capsys):

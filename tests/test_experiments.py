@@ -150,6 +150,17 @@ def test_degree_distribution_limits():
     assert sum(r["estimate"] for r in rep.rows) < 1.0
 
 
+def test_preferential_degree_report_is_bit_reproducible_across_worker_counts():
+    reports = [
+        run_experiment(ExperimentConfig(
+            experiment="degree_distribution", n_grid=(3, 5000), replications=8,
+            seed=27182, model="preferential", d_max=4, workers=workers,
+        ))
+        for workers in (1, 2)
+    ]
+    assert reports[0].canonical_bytes() == reports[1].canonical_bytes()
+
+
 def test_level_sizes_k0_and_exact_column():
     cfg = ExperimentConfig(
         experiment="level_sizes", n_grid=(2000,), replications=300,

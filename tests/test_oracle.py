@@ -6,6 +6,7 @@ import pytest
 
 from urtlab import (
     ResourceGuardError,
+    degree_head,
     degree_tail,
     enumerate_trees,
     enumeration_moment,
@@ -15,6 +16,7 @@ from urtlab import (
     expected_level_size,
     level_pmf,
 )
+from urtlab import oracle
 from urtlab.oracle import child_count_tails, node_level_probabilities, tree_count
 from urtlab.stats import exceedance_count
 
@@ -308,3 +310,43 @@ def test_tiny_tails_keep_their_relative_accuracy():
     assert 0 < exact < 1e-12
     assert degree_tail(i, n, c) == pytest.approx(float(exact), rel=1e-12)
     assert child_count_tails(n + 1, c)[i - 1] == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_degree_head_is_the_exact_complement_of_the_tail():
+    for i, n in ((1, 2), (3, 10), (20, 64)):
+        for a in (-1, 0, 1.5, 4, n):
+            head = degree_head(i, n, a)
+            assert isinstance(head, Fraction)
+            assert head + degree_tail(i, n, a) == 1, (i, n, a)
+    assert degree_head(5, 100, -0.5) == 0.0
+
+
+def test_float_degree_head_against_rational_evaluation():
+    """Small heads come from the head coefficients, not from 1 - tail."""
+    n = 10001
+    for i in (1, 2, 7, 3333, n - 1):
+        prod = math.prod(range(i, n))
+        for a in (0, 1, 2.5, 3.0, 4.6, 12):
+            # P(X <= a) = (i / n) sum_{m <= a} [z^m] prod_{m=i}^{n-1} (m + z) / prod m
+            coef = _rising_coefficients(i, n, math.floor(min(a, n - i)))
+            exact = Fraction(i, n) * Fraction(sum(coef), prod)
+            head = degree_head(i, n, a)
+            assert abs(Fraction(head) - exact) <= exact / 10**15, (i, a)
+
+
+def test_enumeration_moment_enumerates_once_per_n(monkeypatch):
+    grown = []
+    original = oracle.grow_from_sequence
+
+    def counting(seq, *args):
+        grown.append(1)
+        return original(seq, *args)
+
+    monkeypatch.setattr(oracle, "grow_from_sequence", counting)
+    oracle._first_level_count_law.cache_clear()
+    try:
+        values = [enumeration_moment(6, v) for v in ((1,), (0, 1), (2, 1), (0, 0, 3))]
+    finally:
+        oracle._first_level_count_law.cache_clear()
+    assert len(grown) == tree_count(6)
+    assert values[0] == 1

@@ -95,9 +95,38 @@ def test_preferential_initial_edge():
     assert t.model is GrowthModel.PREFERENTIAL
 
 
+def _sequential_preferential(n, rng):
+    """Reference: walk the endpoint list one node at a time; returns (parents, endpoints).
+
+    Draws the same single batch as ``_preferential_parents``, then looks each
+    pick up in the list built so far and appends ``(parent, i)`` to it.
+    """
+    parent = np.empty(n, dtype=np.int64)
+    parent[0] = -1
+    parent[1] = 0
+    endpoints = [0] * (2 * (n - 1))
+    endpoints[0] = 0
+    endpoints[1] = 1
+    if n > 2:
+        draws = rng.integers(0, 2 * np.arange(1, n - 1), dtype=np.int64).tolist()
+        for i in range(2, n):
+            p = endpoints[draws[i - 2]]
+            parent[i] = p
+            endpoints[2 * (i - 1)] = p
+            endpoints[2 * (i - 1) + 1] = i
+    return parent, endpoints
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 100_000])
+def test_preferential_parents_match_sequential_walk(n):
+    for seed in (0, 1, 404, 2**63, 2**64 - 1):
+        expected, _ = _sequential_preferential(n, generator(seed))
+        assert np.array_equal(_preferential_parents(n, generator(seed)), expected)
+
+
 def test_preferential_endpoint_list_tracks_edges():
     rng = generator(404)
-    parent, endpoints = _preferential_parents(200, rng)
+    parent, endpoints = _sequential_preferential(200, rng)
     # final length is twice the edge count, and step i appended (parent, i)
     assert len(endpoints) == 2 * 199
     assert endpoints[0] == 0 and endpoints[1] == 1
