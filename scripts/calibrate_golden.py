@@ -20,9 +20,7 @@ thresholds with explicit slack:
   keeps a lucky near-zero pilot draw from freezing an unpassable bar, and
   holds each pair's false-failure rate below 2e-9 (6 standard errors);
 * degree-distribution tolerance: the 0.01 target, with the pilot's
-  observed deviations recorded to show the headroom (~50x);
-* ratio bands (level sizes, max degree, deep-level counts): pilot mean
-  +/- (5 x pilot SE + absolute slack).
+  observed deviations recorded to show the headroom (~50x).
 
 Regenerate with:  python scripts/calibrate_golden.py [--quick]
 (--quick shrinks replication counts ~100x for a smoke run; do not commit
@@ -43,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from urtlab import ExperimentConfig, run_experiment
-from urtlab.experiments import _poisson1_pmf, run_level_sizes
+from urtlab.experiments import _poisson1_pmf
 from urtlab.moments import ExponentVector, factorial_moments_float
 from urtlab.rng import generator
 
@@ -153,45 +151,6 @@ def pilot_degree_distribution(reps: int, n: int = 1_000_000) -> dict:
     }
 
 
-def pilot_level_size_ratios(reps: int, n: int = 1_000_000) -> dict:
-    cfg = ExperimentConfig(
-        experiment="level_sizes", n_grid=(n,), replications=reps,
-        seed=PILOT_SEED, k_grid=(1, 2, 3, 4),
-    )
-    report = run_level_sizes(cfg)
-    bands = {}
-    for row in report.rows:
-        k = row["point"]["k"]
-        ratio = row["estimate"] / row["scale"]
-        se = (row["se"] or 0.0) / row["scale"]
-        pad = 5.0 * se + 0.02
-        bands[str(k)] = [ratio - pad, ratio + pad]
-    return {"n": n, "seeds": reps, "bands": bands}
-
-
-def pilot_max_degree_ratio(reps: int, n: int = 1_000_000) -> dict:
-    cfg = ExperimentConfig(
-        experiment="max_degree", n_grid=(n,), replications=reps, seed=PILOT_SEED,
-    )
-    report = run_experiment(cfg)
-    row = report.rows[0]
-    mean, se = row["mean_ratio"], row["se"] or 0.0
-    pad = 5.0 * se + 0.02
-    return {"n": n, "seeds": reps, "band": [mean - pad, mean + pad]}
-
-
-def pilot_higher_level_ratio(reps: int, n: int = 2000, k: int = 2, d: int = 1) -> dict:
-    cfg = ExperimentConfig(
-        experiment="higher_level_small_degree", n_grid=(n,), replications=reps,
-        seed=PILOT_SEED, k_grid=(k,), d_max=d,
-    )
-    report = run_experiment(cfg)
-    row = [r for r in report.rows if r["point"]["d"] == d][0]
-    ratio = row["estimate"]
-    return {"n": n, "k": k, "d": d, "replications": reps,
-            "band": [ratio - 0.1, ratio + 0.1]}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="smoke run, ~100x smaller")
@@ -205,9 +164,6 @@ def main() -> int:
         "quick": bool(args.quick),
         "first_level_degrees": pilot_first_level(100_000 // scale, NULL_DRAWS // scale),
         "degree_distribution": pilot_degree_distribution(3),
-        "level_size_ratio_bands": pilot_level_size_ratios(max(50 // scale, 5)),
-        "max_degree_ratio_band": pilot_max_degree_ratio(max(50 // scale, 5)),
-        "higher_level_ratio_band": pilot_higher_level_ratio(2000 // scale),
     }
     golden["pilot_runtime_s"] = round(time.time() - t0, 1)
     Path(args.out).write_text(json.dumps(golden, indent=2) + "\n")

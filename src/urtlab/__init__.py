@@ -13,7 +13,6 @@ from .bijection import (
     tree_to_permutation,
 )
 from .bounds import (
-    TailBoundReport,
     chernoff_upper_raw,
     expected_children,
     lower_tail_bound,
@@ -95,7 +94,6 @@ __all__ = [
     "Rational",
     "RecursiveTree",
     "ResourceGuardError",
-    "TailBoundReport",
     "check_falling_factorial_identities",
     "chernoff_upper_raw",
     "degree_counts_in_level",

@@ -1,5 +1,4 @@
-"""Closed-form tail bounds for a node's child count, and report rows that
-compare them against exact or simulated tails.
+"""Closed-form tail bounds for a node's child count.
 
 The child count of node ``i`` after ``n`` attachment steps is a sum of
 independent indicators with means ``1/(i+1), .., 1/n``; write ``s`` for its
@@ -17,9 +16,7 @@ Chernoff product form is exposed for diagnostics only.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields
 
 
 def expected_children(i: int, n: int) -> float:
@@ -90,45 +87,3 @@ def tail_bound_low_index(n: int, t: float, eps: float) -> float:
 def tail_bound_pair(n: int, t: float, eps: float) -> tuple[float, float]:
     """Both closed-form bounds, (high-index, low-index), for one (n, t, eps)."""
     return tail_bound_high_index(n, t, eps), tail_bound_low_index(n, t, eps)
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """One bound-versus-tail comparison row.
-
-    ``margin = bound - tail`` must be nonnegative whenever the bound's
-    index condition holds and the tail is exact (``mode == "exact"``).
-    """
-
-    i: int
-    n: int
-    t: float
-    eps: float
-    side: str  # "upper" (late nodes) or "lower" (early nodes)
-    s: float
-    bound: float
-    tail: float
-    mode: str  # "exact" or "monte-carlo"
-    margin: float
-
-    @classmethod
-    def make(cls, i, n, t, eps, side, s, bound, tail, mode) -> "TailBoundReport":
-        return cls(
-            i=int(i), n=int(n), t=float(t), eps=float(eps), side=side,
-            s=float(s), bound=float(bound), tail=float(tail), mode=mode,
-            margin=float(bound) - float(tail),
-        )
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return [f.name for f in fields(TailBoundReport)]
-
-    def csv_row(self) -> list:
-        return [getattr(self, f.name) for f in fields(TailBoundReport)]
-
-
-def write_tail_reports(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(TailBoundReport.csv_header())
-    for row in rows:
-        writer.writerow(row.csv_row())

@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds as bnd
 from . import oracle
 from .bijection import Permutation, fixed_points_after_first, permutation_to_tree, tree_to_permutation
 from .errors import ResourceGuardError
-from .experiments import EXPERIMENT_ALIASES, EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENT_ALIASES, EXPERIMENTS, ExperimentConfig, resolve_workers, run_experiment
 from .moments import MomentTable, exact_factorial_moment
 from .stats import degree_counts_in_level, degree_histogram, high_degree_fraction, level_sizes, max_degree
 from .tree import grow, grow_from_sequence, load_tree, save_tree
@@ -205,10 +204,10 @@ def _cmd_experiment(args) -> int:
         d_max=args.dmax,
         eps=args.eps,
         workers=args.workers,
-        out=args.out,
-        fmt=args.format,
     )
-    _echo("experiment", {"id": args.id, **config.to_dict()})
+    workers = resolve_workers(config.workers, config.replications)
+    _echo("experiment", {"id": args.id, **config.to_dict(), "workers": workers,
+                         "out": args.out, "format": args.format})
     report = run_experiment(config)
     if args.out:
         report.write(args.out, args.format)

@@ -1,6 +1,6 @@
-"""Seeded Monte Carlo experiment runners with exact-oracle reference columns.
+"""Seeded Monte Carlo experiments with exact-oracle reference columns.
 
-Every runner takes an :class:`ExperimentConfig` and produces an
+Every experiment takes an :class:`ExperimentConfig` and produces an
 :class:`ExperimentReport` whose rows pair an estimate with its standard
 error, an exact reference where an oracle applies, and the limiting value
 the estimate approaches.  Replication ``r`` always uses the seed derived
@@ -8,13 +8,20 @@ from ``(master, r)``, and aggregation reduces the per-replication table in
 replication order, so a report is a pure function of ``(config, seed)``:
 the worker count changes wall time only.
 
-Replications run in a process pool when ``workers > 1``.  Per-replication
-kernels are plain functions of ``(cfg, seed)``; they rebuild trees from the
-same growth primitives as :func:`urtlab.tree.grow` (uniform draws, or the
-pointer-jumping resolution of preferential endpoint picks) but skip arrays
-the experiment does not read (levels, mostly), which matters at
-``n = 10^6``.  Only ``degree_distribution`` grows preferential trees; the
-other experiments are about uniform trees and refuse any other model.
+One driver, :func:`_run`, serves all seven experiments.  Each experiment
+supplies a picklable per-replication kernel of ``(args, seed)``, the
+kernel's arguments at each ``n`` and a row builder that turns the
+``(replications x columns)`` table at that ``n`` into report rows.  When
+``workers > 1`` the driver opens one process pool for the whole run, and
+only if some ``n`` needs simulation.  Kernels grow trees through
+:func:`urtlab.tree._parents`, the draws :func:`urtlab.tree.grow` makes,
+and derive only the arrays they read (degrees, and levels where a kernel
+looks past level 1), which matters at ``n = 10^6``.
+
+:data:`READS` lists the config fields each experiment reads beyond the
+grid, replication count and seed; the report echoes exactly those.  Only
+``degree_distribution`` reads ``model``: it grows preferential trees too,
+and the other experiments refuse any model but uniform.
 """
 
 from __future__ import annotations
@@ -25,28 +32,39 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import get_context
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import bounds as bnd
 from . import oracle
 from .moments import EXACT_MOMENT_MAX_N, ExponentVector, MomentTable, factorial_moments_float
-from .rng import check_seed, derive_seed, generator
-from .tree import GrowthModel, _levels_from_parents, _preferential_parents, _uniform_parents
+from .rng import check_seed, derive_seed
+from .tree import GrowthModel, _degrees_from_parents, _levels_from_parents, _parents
 
 SCHEMA = "urt-report/1"
 WORKER_ENV = "URT_THREADS"
-EXECUTION_ONLY = ("workers", "out")  # config fields kept out of reports
-MODEL_EXPERIMENTS = ("degree_distribution",)  # the only ones that read config.model
+ECHOED = ("experiment", "n_grid", "replications", "seed")  # in every report's config echo
+
+# config fields each experiment reads besides ECHOED; its report echoes them too
+READS = {
+    "level_exceedance": ("k_grid", "t_grid"),
+    "first_level_degrees": ("d_max",),
+    "degree_distribution": ("model", "d_max"),
+    "level_sizes": ("k_grid",),
+    "max_degree": (),
+    "higher_level_small_degree": ("k_grid", "d_max"),
+    "tail_vs_bound": ("t_grid", "eps"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid, replication and output settings for one experiment run."""
+    """Grid, replication and worker settings for one experiment run."""
 
     experiment: str
     n_grid: tuple[int, ...]
@@ -58,8 +76,6 @@ class ExperimentConfig:
     d_max: int = 3
     eps: float = 0.1
     workers: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "json"
 
     def __post_init__(self):
         name = EXPERIMENT_ALIASES.get(self.experiment, self.experiment)
@@ -85,17 +101,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"{model.name} growth needs n >= {model.min_nodes}, got {min(self.n_grid)}"
             )
-        if model is not GrowthModel.UNIFORM and name not in MODEL_EXPERIMENTS:
+        if model is not GrowthModel.UNIFORM and "model" not in READS[name]:
+            growers = ", ".join(e for e, fields in READS.items() if "model" in fields)
             raise ValueError(
                 f"experiment {name!r} grows uniform trees only; model {self.model!r} "
-                f"applies to {', '.join(MODEL_EXPERIMENTS)}"
+                f"applies to {growers}"
             )
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
         if any(not 0.0 < t < 1.0 for t in self.t_grid):
             raise ValueError(f"t values must lie in (0, 1), got {self.t_grid}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -109,8 +124,9 @@ class ExperimentConfig:
 class ExperimentReport:
     """Aggregate results: config echo, rows, seed and wall time.
 
-    The config echo leaves out :data:`EXECUTION_ONLY` settings: where the
-    report is written and how many processes made it change nothing in it.
+    The config echo holds :data:`ECHOED` and the fields in :data:`READS`
+    for the experiment: settings it never reads (the worker count among
+    them) change nothing in the rows, so they stay out of the report.
     """
 
     experiment: str
@@ -118,9 +134,6 @@ class ExperimentReport:
     rows: list[dict]
     seed: int
     runtime_ms: int
-
-    def __post_init__(self):
-        self.config = {k: v for k, v in self.config.items() if k not in EXECUTION_ONLY}
 
     def to_dict(self) -> dict:
         return {
@@ -182,27 +195,71 @@ class ExperimentReport:
             fh.write(self.render(fmt))
 
 
-def resolve_workers(requested: Optional[int]) -> int:
-    """Worker count: the ``URT_THREADS`` env var overrides everything."""
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_workers(requested: Optional[int], replications: Optional[int] = None) -> int:
+    """Worker count: the ``URT_THREADS`` env var overrides ``requested``,
+    which defaults to the usable CPUs.  Either is clamped to at least 1 and
+    at most the usable CPUs and ``replications``, so a typo cannot start
+    more processes than there is work or hardware for.
+    """
+    cap = _usable_cpus()
+    if replications is not None:
+        cap = min(cap, replications)
     env = os.environ.get(WORKER_ENV)
     if env:
-        return max(1, int(env))
-    if requested is not None:
-        return max(1, int(requested))
-    return max(1, os.cpu_count() or 1)
-
-
-def _replicate(kernel: Callable, cfg: tuple, reps: int, master: int, workers: int) -> np.ndarray:
-    """Per-replication rows, always ordered by replication index."""
-    seeds = [derive_seed(master, r) for r in range(reps)]
-    call = partial(kernel, cfg)
-    if workers <= 1 or reps < 4:
-        rows = [call(s) for s in seeds]
+        wanted = int(env)
+    elif requested is not None:
+        wanted = int(requested)
     else:
-        chunk = max(1, reps // (workers * 8))
-        with get_context().Pool(workers) as pool:
-            rows = pool.map(call, seeds, chunksize=chunk)
-    return np.asarray(rows)
+        wanted = cap
+    return max(1, min(wanted, cap))
+
+
+def _replicate(kernel: Callable, cfg: tuple, seeds: list[int], pool, workers: int) -> np.ndarray:
+    """Per-replication rows, always ordered by replication index."""
+    call = partial(kernel, cfg)
+    if pool is None:
+        return np.asarray([call(s) for s in seeds])
+    return np.asarray(pool.map(call, seeds, chunksize=max(1, len(seeds) // (workers * 8))))
+
+
+def _run(config: ExperimentConfig, kernel: Callable, kernel_args: Callable,
+         summarise: Callable) -> ExperimentReport:
+    """Replicate ``kernel`` at each n of the grid and report the rows.
+
+    ``kernel_args(n)`` is the kernel's first argument at ``n``, or ``None``
+    when the rows at ``n`` need no simulation; ``summarise(config, n,
+    table)`` builds the rows at ``n`` from the per-replication table
+    (``None`` where nothing was simulated).
+    """
+    t0 = time.perf_counter()
+    workers = resolve_workers(config.workers, config.replications)
+    plan = [(n, kernel_args(n)) for n in config.n_grid]
+    parallel = workers > 1 and config.replications >= 4
+    parallel = parallel and any(args is not None for _, args in plan)
+    # replication r has the same seed at every n; derived before the pool
+    # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
+    seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
+    rows = []
+    with get_context().Pool(workers) if parallel else nullcontext() as pool:
+        for n, args in plan:
+            table = None
+            if args is not None:
+                table = _replicate(kernel, args, seeds, pool, workers)
+            rows.extend(summarise(config, n, table))
+    echoed = ECHOED + READS[config.experiment]
+    return ExperimentReport(
+        experiment=config.experiment,
+        config={k: v for k, v in config.to_dict().items() if k in echoed},
+        rows=rows,
+        seed=config.seed,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    )
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, Optional[float]]:
@@ -224,26 +281,14 @@ def _clean(x):
     return None if math.isnan(x) else x
 
 
-def _grow_arrays(model: str, n: int, seed: int, want_levels: bool):
-    """(parent, degree, level|None) via the same draws grow() would make."""
-    rng = generator(seed)
-    if model == "uniform":
-        parent = _uniform_parents(n, rng)
-    else:
-        parent = _preferential_parents(n, rng)
-    degree = np.bincount(parent[1:], minlength=n)
-    degree[1:] += 1
-    level = _levels_from_parents(parent) if want_levels else None
-    return parent, degree, level
-
-
 # --------------------------------------------------------------------------
 # level exceedance: share of level-k nodes with degree above t*ln(n)
 
 def _kernel_level_exceedance(cfg, seed):
     n, ks, ts = cfg
-    need_levels = any(k != 1 for k in ks)
-    parent, degree, level = _grow_arrays("uniform", n, seed, need_levels)
+    parent = _parents("uniform", n, seed)
+    degree = _degrees_from_parents(parent)
+    level = _levels_from_parents(parent) if any(k != 1 for k in ks) else None
     log_n = math.log(n)
     out = []
     for k in ks:
@@ -260,60 +305,49 @@ def _kernel_level_exceedance(cfg, seed):
     return tuple(out)
 
 
+def _level_exceedance_rows(config, n, table):
+    rows = []
+    col = 0
+    for k in config.k_grid:
+        for t in config.t_grid:
+            nums = table[:, col]
+            sizes = table[:, col + 1]
+            fracs = table[:, col + 2]
+            col += 3
+            frac_mean, frac_se = _mean_se(fracs)
+            num_mean, num_se = _mean_se(nums)
+            exact_numerator = None
+            exact_level_size = None
+            if n <= oracle.DEGREE_TAIL_MAX_SPAN:
+                exact_numerator = float(oracle.expected_exceedance_count(n, k, t))
+                exact_level_size = float(oracle.expected_level_size(n, k, exact=False))
+            rows.append(
+                {
+                    "point": {"n": n, "k": k, "t": t},
+                    "estimate": _clean(frac_mean),
+                    "se": _clean(frac_se),
+                    "exact": None,  # the fraction has no closed-form finite-n expectation
+                    "limit": (1.0 - t) ** k,
+                    "numerator_mean": _clean(num_mean),
+                    "numerator_se": _clean(num_se),
+                    "exact_numerator": exact_numerator,
+                    "level_size_mean": _clean(np.mean(sizes)),
+                    "exact_level_size": exact_level_size,
+                    "replications_used": int(np.count_nonzero(~np.isnan(fracs))),
+                    "seed": config.seed,
+                }
+            )
+    return rows
+
+
 def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
     """Mean exceedance fraction per (n, k, t) against the (1-t)^k asymptote.
 
     Rows carry the mean and SE of both the fraction and the raw exceedance
     count, plus the exact expected count where the DP oracle is in range.
     """
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    rows = []
-    for n in config.n_grid:
-        table = _replicate(
-            _kernel_level_exceedance,
-            (n, config.k_grid, config.t_grid),
-            config.replications,
-            config.seed,
-            workers,
-        )
-        col = 0
-        for k in config.k_grid:
-            for t in config.t_grid:
-                nums = table[:, col]
-                sizes = table[:, col + 1]
-                fracs = table[:, col + 2]
-                col += 3
-                frac_mean, frac_se = _mean_se(fracs)
-                num_mean, num_se = _mean_se(nums)
-                exact_numerator = None
-                exact_level_size = None
-                if n <= oracle.DEGREE_TAIL_MAX_SPAN:
-                    exact_numerator = float(oracle.expected_exceedance_count(n, k, t))
-                    exact_level_size = float(oracle.expected_level_size(n, k, exact=False))
-                rows.append(
-                    {
-                        "point": {"n": n, "k": k, "t": t},
-                        "estimate": _clean(frac_mean),
-                        "se": _clean(frac_se),
-                        "exact": None,  # the fraction has no closed-form finite-n expectation
-                        "limit": (1.0 - t) ** k,
-                        "numerator_mean": _clean(num_mean),
-                        "numerator_se": _clean(num_se),
-                        "exact_numerator": exact_numerator,
-                        "level_size_mean": _clean(np.mean(sizes)),
-                        "exact_level_size": exact_level_size,
-                        "replications_used": int(np.count_nonzero(~np.isnan(fracs))),
-                        "seed": config.seed,
-                    }
-                )
-    return ExperimentReport(
-        experiment="level_exceedance",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_level_exceedance,
+                lambda n: (n, config.k_grid, config.t_grid), _level_exceedance_rows)
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +355,8 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_first_level_degrees(cfg, seed):
     n, d_max = cfg
-    parent, degree, _ = _grow_arrays("uniform", n, seed, False)
-    deg1 = degree[1:][parent[1:] == 0]
+    parent = _parents("uniform", n, seed)
+    deg1 = _degrees_from_parents(parent)[1:][parent[1:] == 0]
     counts = np.bincount(deg1, minlength=d_max + 1)
     return tuple(int(c) for c in counts[1 : d_max + 1])
 
@@ -355,6 +389,82 @@ def _moment_vectors(d_max: int, max_total: int = 3) -> list[ExponentVector]:
     return sorted(vecs, key=lambda v: (v.total, v.d, v.k))
 
 
+def _first_level_degrees_rows(config, n, table):
+    table = table.astype(np.int64)
+    exact_mode = "rational" if n <= EXACT_MOMENT_MAX_N else "float-recursion"
+    unit_vectors = [
+        ExponentVector((0,) * (d - 1) + (1,)) for d in range(1, config.d_max + 1)
+    ]
+    wanted = unit_vectors + _moment_vectors(config.d_max)
+    if n <= EXACT_MOMENT_MAX_N:
+        moment_table = MomentTable.for_targets(wanted, [n])
+        references = {v: float(moment_table.value(n, v)) for v in wanted}
+    else:
+        references = factorial_moments_float(n, wanted)
+
+    rows = []
+    for d in range(1, config.d_max + 1):
+        mean, se = _mean_se(table[:, d - 1])
+        rows.append(
+            {
+                "point": {"n": n, "d": d, "kind": "mean_count"},
+                "estimate": _clean(mean),
+                "se": _clean(se),
+                "exact": references[unit_vectors[d - 1]],
+                "limit": 1.0,
+                "exact_mode": exact_mode,
+                "seed": config.seed,
+            }
+        )
+    for d in range(1, config.d_max + 1):
+        rows.append(
+            {
+                "point": {"n": n, "d": d, "kind": "tv_poisson1"},
+                "estimate": total_variation_to_poisson1(table[:, d - 1]),
+                "se": None,
+                "exact": None,
+                "limit": 0.0,
+                "seed": config.seed,
+            }
+        )
+    for d1 in range(1, config.d_max + 1):
+        for d2 in range(d1 + 1, config.d_max + 1):
+            a = table[:, d1 - 1].astype(float)
+            b = table[:, d2 - 1].astype(float)
+            corr = float("nan")
+            if a.std() > 0 and b.std() > 0:
+                corr = float(np.corrcoef(a, b)[0, 1])
+            rows.append(
+                {
+                    "point": {"n": n, "d1": d1, "d2": d2, "kind": "correlation"},
+                    "estimate": _clean(corr),
+                    "se": None,
+                    "exact": None,
+                    "limit": 0.0,
+                    "seed": config.seed,
+                }
+            )
+    for vec in _moment_vectors(config.d_max):
+        prods = np.ones(table.shape[0], dtype=np.int64)
+        for d, kd in enumerate(vec.k, start=1):
+            x = table[:, d - 1]
+            for step in range(kd):
+                prods = prods * (x - step)
+        mean, se = _mean_se(prods.astype(float))
+        rows.append(
+            {
+                "point": {"n": n, "k_vector": str(vec), "kind": "factorial_moment"},
+                "estimate": _clean(mean),
+                "se": _clean(se),
+                "exact": references[vec],
+                "limit": 1.0,
+                "exact_mode": exact_mode,
+                "seed": config.seed,
+            }
+        )
+    return rows
+
+
 def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
     """Empirical law of the first-level degree counts.
 
@@ -366,99 +476,8 @@ def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.d_max > 6:
         raise ValueError(f"d_max is capped at 6 for this experiment, got {config.d_max}")
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    rows = []
-    for n in config.n_grid:
-        table = _replicate(
-            _kernel_first_level_degrees,
-            (n, config.d_max),
-            config.replications,
-            config.seed,
-            workers,
-        ).astype(np.int64)
-        exact_mode = "rational" if n <= EXACT_MOMENT_MAX_N else "float-recursion"
-        unit_vectors = [
-            ExponentVector((0,) * (d - 1) + (1,)) for d in range(1, config.d_max + 1)
-        ]
-        wanted = unit_vectors + _moment_vectors(config.d_max)
-        if n <= EXACT_MOMENT_MAX_N:
-            moment_table = MomentTable.for_targets(wanted, [n])
-            references = {v: float(moment_table.value(n, v)) for v in wanted}
-        else:
-            references = factorial_moments_float(n, wanted)
-
-        def reference(vec: ExponentVector) -> float:
-            return references[vec]
-
-        for d in range(1, config.d_max + 1):
-            col = table[:, d - 1]
-            mean, se = _mean_se(col)
-            unit = unit_vectors[d - 1]
-            rows.append(
-                {
-                    "point": {"n": n, "d": d, "kind": "mean_count"},
-                    "estimate": _clean(mean),
-                    "se": _clean(se),
-                    "exact": reference(unit),
-                    "limit": 1.0,
-                    "exact_mode": exact_mode,
-                    "seed": config.seed,
-                }
-            )
-        for d in range(1, config.d_max + 1):
-            rows.append(
-                {
-                    "point": {"n": n, "d": d, "kind": "tv_poisson1"},
-                    "estimate": total_variation_to_poisson1(table[:, d - 1]),
-                    "se": None,
-                    "exact": None,
-                    "limit": 0.0,
-                    "seed": config.seed,
-                }
-            )
-        for d1 in range(1, config.d_max + 1):
-            for d2 in range(d1 + 1, config.d_max + 1):
-                a = table[:, d1 - 1].astype(float)
-                b = table[:, d2 - 1].astype(float)
-                corr = float("nan")
-                if a.std() > 0 and b.std() > 0:
-                    corr = float(np.corrcoef(a, b)[0, 1])
-                rows.append(
-                    {
-                        "point": {"n": n, "d1": d1, "d2": d2, "kind": "correlation"},
-                        "estimate": _clean(corr),
-                        "se": None,
-                        "exact": None,
-                        "limit": 0.0,
-                        "seed": config.seed,
-                    }
-                )
-        for vec in _moment_vectors(config.d_max):
-            prods = np.ones(table.shape[0], dtype=np.int64)
-            for d, kd in enumerate(vec.k, start=1):
-                x = table[:, d - 1]
-                for step in range(kd):
-                    prods = prods * (x - step)
-            mean, se = _mean_se(prods.astype(float))
-            rows.append(
-                {
-                    "point": {"n": n, "k_vector": str(vec), "kind": "factorial_moment"},
-                    "estimate": _clean(mean),
-                    "se": _clean(se),
-                    "exact": reference(vec),
-                    "limit": 1.0,
-                    "exact_mode": exact_mode,
-                    "seed": config.seed,
-                }
-            )
-    return ExperimentReport(
-        experiment="first_level_degrees",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_first_level_degrees,
+                lambda n: (n, config.d_max), _first_level_degrees_rows)
 
 
 # --------------------------------------------------------------------------
@@ -466,7 +485,7 @@ def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_degree_distribution(cfg, seed):
     model, n, d_max = cfg
-    _, degree, _ = _grow_arrays(model, n, seed, False)
+    degree = _degrees_from_parents(_parents(model, n, seed))
     hist = np.bincount(degree, minlength=d_max + 1)
     return tuple(float(hist[d]) / n for d in range(1, d_max + 1))
 
@@ -478,38 +497,27 @@ def degree_fraction_limit(model: str, d: int) -> float:
     return 4.0 / (d * (d + 1) * (d + 2))
 
 
+def _degree_distribution_rows(config, n, table):
+    rows = []
+    for d in range(1, config.d_max + 1):
+        mean, se = _mean_se(table[:, d - 1])
+        rows.append(
+            {
+                "point": {"model": config.model, "n": n, "d": d},
+                "estimate": _clean(mean),
+                "se": _clean(se),
+                "exact": None,
+                "limit": degree_fraction_limit(config.model, d),
+                "seed": config.seed,
+            }
+        )
+    return rows
+
+
 def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
     """Empirical degree fractions per (n, d) against the model's limit law."""
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    rows = []
-    for n in config.n_grid:
-        table = _replicate(
-            _kernel_degree_distribution,
-            (config.model, n, config.d_max),
-            config.replications,
-            config.seed,
-            workers,
-        )
-        for d in range(1, config.d_max + 1):
-            mean, se = _mean_se(table[:, d - 1])
-            rows.append(
-                {
-                    "point": {"model": config.model, "n": n, "d": d},
-                    "estimate": _clean(mean),
-                    "se": _clean(se),
-                    "exact": None,
-                    "limit": degree_fraction_limit(config.model, d),
-                    "seed": config.seed,
-                }
-            )
-    return ExperimentReport(
-        experiment="degree_distribution",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_degree_distribution,
+                lambda n: (config.model, n, config.d_max), _degree_distribution_rows)
 
 
 # --------------------------------------------------------------------------
@@ -517,49 +525,36 @@ def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_level_sizes(cfg, seed):
     n, ks = cfg
-    _, _, level = _grow_arrays("uniform", n, seed, True)
-    sizes = np.bincount(level)
+    sizes = np.bincount(_levels_from_parents(_parents("uniform", n, seed)))
     return tuple(float(sizes[k]) if k < sizes.size else 0.0 for k in ks)
+
+
+def _level_sizes_rows(config, n, table):
+    rows = []
+    for idx, k in enumerate(config.k_grid):
+        mean, se = _mean_se(table[:, idx])
+        exact = float(oracle.expected_level_size(n, k, exact=False))
+        scale = math.log(n) ** k / math.factorial(k) if k > 0 else 1.0
+        rows.append(
+            {
+                "point": {"n": n, "k": k},
+                "estimate": _clean(mean),
+                "se": _clean(se),
+                "exact": exact,
+                "limit": 1.0,
+                "scale": scale,
+                "ratio_mc": _clean(mean / scale),
+                "ratio_exact": exact / scale,
+                "exact_mode": "float",
+                "seed": config.seed,
+            }
+        )
+    return rows
 
 
 def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
     """Mean level sizes with exact expectations and the (ln n)^k/k! ratio."""
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    rows = []
-    for n in config.n_grid:
-        table = _replicate(
-            _kernel_level_sizes,
-            (n, config.k_grid),
-            config.replications,
-            config.seed,
-            workers,
-        )
-        for idx, k in enumerate(config.k_grid):
-            mean, se = _mean_se(table[:, idx])
-            exact = float(oracle.expected_level_size(n, k, exact=False))
-            scale = math.log(n) ** k / math.factorial(k) if k > 0 else 1.0
-            rows.append(
-                {
-                    "point": {"n": n, "k": k},
-                    "estimate": _clean(mean),
-                    "se": _clean(se),
-                    "exact": exact,
-                    "limit": 1.0,
-                    "scale": scale,
-                    "ratio_mc": _clean(mean / scale),
-                    "ratio_exact": exact / scale,
-                    "exact_mode": "float",
-                    "seed": config.seed,
-                }
-            )
-    return ExperimentReport(
-        experiment="level_sizes",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_level_sizes, lambda n: (n, config.k_grid), _level_sizes_rows)
 
 
 # --------------------------------------------------------------------------
@@ -567,45 +562,34 @@ def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_max_degree(cfg, seed):
     (n,) = cfg
-    _, degree, _ = _grow_arrays("uniform", n, seed, False)
-    return (float(degree.max()),)
+    return (float(_degrees_from_parents(_parents("uniform", n, seed)).max()),)
+
+
+def _max_degree_rows(config, n, table):
+    log2n = math.log2(n) if n > 1 else 1.0
+    ratios = table[:, 0] / log2n
+    mean, se = _mean_se(ratios)
+    harmonic = sum(1.0 / j for j in range(1, n + 1))
+    return [
+        {
+            "point": {"n": n},
+            "estimate": _clean(np.median(ratios)),
+            "se": _clean(se),
+            "exact": None,
+            "limit": 1.0,
+            "mean_ratio": _clean(mean),
+            "min_ratio": _clean(ratios.min()),
+            "q10_ratio": _clean(np.quantile(ratios, 0.10)),
+            "q90_ratio": _clean(np.quantile(ratios, 0.90)),
+            "root_degree_sanity": harmonic / log2n,  # recorded, never asserted
+            "seed": config.seed,
+        }
+    ]
 
 
 def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
     """Distribution summary of max degree / log2(n) per n."""
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    rows = []
-    for n in config.n_grid:
-        table = _replicate(
-            _kernel_max_degree, (n,), config.replications, config.seed, workers
-        )
-        log2n = math.log2(n) if n > 1 else 1.0
-        ratios = table[:, 0] / log2n
-        mean, se = _mean_se(ratios)
-        harmonic = sum(1.0 / j for j in range(1, n + 1))
-        rows.append(
-            {
-                "point": {"n": n},
-                "estimate": _clean(np.median(ratios)),
-                "se": _clean(se),
-                "exact": None,
-                "limit": 1.0,
-                "mean_ratio": _clean(mean),
-                "min_ratio": _clean(ratios.min()),
-                "q10_ratio": _clean(np.quantile(ratios, 0.10)),
-                "q90_ratio": _clean(np.quantile(ratios, 0.90)),
-                "root_degree_sanity": harmonic / log2n,  # recorded, never asserted
-                "seed": config.seed,
-            }
-        )
-    return ExperimentReport(
-        experiment="max_degree",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_max_degree, lambda n: (n,), _max_degree_rows)
 
 
 # --------------------------------------------------------------------------
@@ -613,19 +597,52 @@ def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_higher_level(cfg, seed):
     n, ks, d_max = cfg
-    _, degree, level = _grow_arrays("uniform", n, seed, True)
+    parent = _parents("uniform", n, seed)
+    degree = _degrees_from_parents(parent)
+    level = _levels_from_parents(parent)
     sizes = np.bincount(level)
     out = []
     for k in ks:
         size_k = float(sizes[k]) if k < sizes.size else 0.0
         size_km1 = float(sizes[k - 1]) if k - 1 < sizes.size else 0.0
-        mask = level == k
-        deg_k = degree[mask]
+        deg_k = degree[level == k]
         for d in range(1, d_max + 1):
             out.append(float((deg_k == d).sum()))
         out.append(size_km1)
         out.append(size_k)
     return tuple(out)
+
+
+def _higher_level_rows(config, n, table):
+    rows = []
+    width = config.d_max + 2
+    for idx, k in enumerate(config.k_grid):
+        base = idx * width
+        size_km1_mean = float(np.mean(table[:, base + config.d_max]))
+        size_k_mean = float(np.mean(table[:, base + config.d_max + 1]))
+        for d in range(1, config.d_max + 1):
+            count_mean, count_se = _mean_se(table[:, base + d - 1])
+            ratio = count_mean / size_km1_mean if size_km1_mean else float("nan")
+            proportion = count_mean / size_k_mean if size_k_mean else float("nan")
+            rows.append(
+                {
+                    "point": {"n": n, "k": k, "d": d},
+                    "estimate": _clean(ratio),
+                    "se": None,
+                    "exact": None,
+                    "limit": 1.0,
+                    "count_mean": _clean(count_mean),
+                    "count_se": _clean(count_se),
+                    "level_km1_mean": size_km1_mean,
+                    "level_k_mean": size_k_mean,
+                    "proportion": _clean(proportion),
+                    "proportion_scaled": _clean(
+                        proportion * k * math.log(n) if size_k_mean else None
+                    ),
+                    "seed": config.seed,
+                }
+            )
+    return rows
 
 
 def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
@@ -636,51 +653,8 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
     """
     if min(config.k_grid) < 2:
         raise ValueError(f"this experiment needs levels k >= 2, got {config.k_grid}")
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    rows = []
-    width = config.d_max + 2
-    for n in config.n_grid:
-        table = _replicate(
-            _kernel_higher_level,
-            (n, config.k_grid, config.d_max),
-            config.replications,
-            config.seed,
-            workers,
-        )
-        for idx, k in enumerate(config.k_grid):
-            base = idx * width
-            size_km1_mean = float(np.mean(table[:, base + config.d_max]))
-            size_k_mean = float(np.mean(table[:, base + config.d_max + 1]))
-            for d in range(1, config.d_max + 1):
-                count_mean, count_se = _mean_se(table[:, base + d - 1])
-                ratio = count_mean / size_km1_mean if size_km1_mean else float("nan")
-                proportion = count_mean / size_k_mean if size_k_mean else float("nan")
-                rows.append(
-                    {
-                        "point": {"n": n, "k": k, "d": d},
-                        "estimate": _clean(ratio),
-                        "se": None,
-                        "exact": None,
-                        "limit": 1.0,
-                        "count_mean": _clean(count_mean),
-                        "count_se": _clean(count_se),
-                        "level_km1_mean": size_km1_mean,
-                        "level_k_mean": size_k_mean,
-                        "proportion": _clean(proportion),
-                        "proportion_scaled": _clean(
-                            proportion * k * math.log(n) if size_k_mean else None
-                        ),
-                        "seed": config.seed,
-                    }
-                )
-    return ExperimentReport(
-        experiment="higher_level_small_degree",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_higher_level,
+                lambda n: (n, config.k_grid, config.d_max), _higher_level_rows)
 
 
 # --------------------------------------------------------------------------
@@ -700,12 +674,88 @@ def _admissible_indices(n: int, t: float, eps: float, side: str, points: int = 8
     return [int(i) for i in grid if lo <= i <= hi]
 
 
+def _tail_cases(n: int, config: ExperimentConfig):
+    """``(t, side, bound, indices, note)`` per (t, side) at ``n``, in row order.
+
+    ``note`` says why a case is skipped; ``indices`` is then empty.
+    """
+    eps = float(config.eps)
+    for t in config.t_grid:
+        for side in ("upper", "lower"):
+            try:
+                if side == "upper":
+                    bound = bnd.tail_bound_high_index(n, t, eps)
+                else:
+                    bound = bnd.tail_bound_low_index(n, t, eps)
+            except ValueError as exc:
+                yield t, side, None, [], f"skipped: {exc}"
+                continue
+            indices = _admissible_indices(n, t, eps, side)
+            note = None if indices else "skipped: no admissible node indices"
+            yield t, side, bound, indices, note
+
+
+def _exact_tails(n: int, indices) -> bool:
+    return n - min(indices) <= oracle.DEGREE_TAIL_MAX_SPAN
+
+
+def _tail_kernel_args(config: ExperimentConfig, n: int):
+    """Threshold and node indices of every case simulated at ``n``, or None."""
+    groups = tuple(
+        (t * math.log(n), tuple(indices))
+        for t, _, _, indices, note in _tail_cases(n, config)
+        if note is None and not _exact_tails(n, indices)
+    )
+    return (n, groups) if groups else None
+
+
 def _kernel_tail_indicators(cfg, seed):
-    n, i_list, threshold = cfg
+    n, groups = cfg
     # n counts attachment steps here: the grown tree has n+1 nodes so node
     # i's child count is a sum of indicators over steps i+1..n.
-    _, degree, _ = _grow_arrays("uniform", n + 1, seed, False)
-    return tuple(1.0 if degree[i] - 1 > threshold else 0.0 for i in i_list)
+    degree = _degrees_from_parents(_parents("uniform", n + 1, seed))
+    return tuple(
+        1.0 if degree[i] - 1 > threshold else 0.0
+        for threshold, indices in groups for i in indices
+    )
+
+
+def _tail_vs_bound_rows(config, n, table):
+    rows = []
+    col = 0  # next simulated column, consumed in _tail_kernel_args order
+    for t, side, bound, indices, note in _tail_cases(n, config):
+        point = {"n": n, "t": t, "eps": float(config.eps), "side": side}
+        if note is not None:
+            rows.append({"point": point, "note": note, "seed": config.seed})
+            continue
+        threshold = t * math.log(n)
+        exact = _exact_tails(n, indices)
+        for i in indices:
+            se = None
+            if not exact:
+                tail, se = _mean_se(table[:, col])
+                col += 1
+                if side == "lower":
+                    tail = 1.0 - tail
+            elif side == "upper":
+                tail = float(oracle.degree_tail(i, n, threshold))
+            else:  # the head itself, not 1 - tail, which cancels when small
+                tail = float(oracle.degree_head(i, n, threshold))
+            rows.append(
+                {
+                    "point": {**point, "i": i},
+                    "estimate": tail,
+                    "se": _clean(se),
+                    "exact": tail if exact else None,
+                    "limit": None,
+                    "s": bnd.expected_children(i, n),
+                    "bound": bound,
+                    "margin": bound - tail,
+                    "mode": "exact" if exact else "monte-carlo",
+                    "seed": config.seed,
+                }
+            )
+    return rows
 
 
 def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
@@ -714,91 +764,12 @@ def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
     For each (n, t) and the configured ``eps``: late nodes
     (``i > n^(1-t+eps)``) compare ``P(X > t ln n)`` with the high-index
     bound; early nodes (``i <= n^(1-t-eps)-1``) compare ``P(X <= t ln n)``
-    with the low-index bound.  Skipped (t, eps) combinations are recorded
-    as note rows.
+    with the low-index bound.  One tree per replication serves every
+    simulated (t, side, i) at an n.  Skipped (t, eps) combinations are
+    recorded as note rows.
     """
-    t0 = time.perf_counter()
-    workers = resolve_workers(config.workers)
-    eps = float(config.eps)
-    rows = []
-    for n in config.n_grid:
-        for t in config.t_grid:
-            threshold = t * math.log(n)
-            for side in ("upper", "lower"):
-                try:
-                    if side == "upper":
-                        bound = bnd.tail_bound_high_index(n, t, eps)
-                    else:
-                        bound = bnd.tail_bound_low_index(n, t, eps)
-                except ValueError as exc:
-                    rows.append(
-                        {
-                            "point": {"n": n, "t": t, "eps": eps, "side": side},
-                            "note": f"skipped: {exc}",
-                            "seed": config.seed,
-                        }
-                    )
-                    continue
-                indices = _admissible_indices(n, t, eps, side)
-                if not indices:
-                    rows.append(
-                        {
-                            "point": {"n": n, "t": t, "eps": eps, "side": side},
-                            "note": "skipped: no admissible node indices",
-                            "seed": config.seed,
-                        }
-                    )
-                    continue
-                exact_ok = n - min(indices) <= oracle.DEGREE_TAIL_MAX_SPAN
-                mc_tails = {}
-                if not exact_ok:
-                    table = _replicate(
-                        _kernel_tail_indicators,
-                        (n, tuple(indices), threshold),
-                        config.replications,
-                        config.seed,
-                        workers,
-                    )
-                    for pos, i in enumerate(indices):
-                        exceed_mean, exceed_se = _mean_se(table[:, pos])
-                        mc_tails[i] = (exceed_mean, exceed_se)
-                for i in indices:
-                    s = bnd.expected_children(i, n)
-                    if exact_ok:
-                        if side == "upper":
-                            tail = float(oracle.degree_tail(i, n, threshold))
-                        else:  # the head itself, not 1 - tail, which cancels when small
-                            tail = float(oracle.degree_head(i, n, threshold))
-                        se = None
-                        mode = "exact"
-                    else:
-                        exceed, se = mc_tails[i]
-                        tail = exceed if side == "upper" else 1.0 - exceed
-                        mode = "monte-carlo"
-                    report = bnd.TailBoundReport.make(
-                        i, n, t, eps, side, s, bound, tail, mode
-                    )
-                    rows.append(
-                        {
-                            "point": {"n": n, "t": t, "eps": eps, "side": side, "i": i},
-                            "estimate": report.tail,
-                            "se": _clean(se) if se is not None else None,
-                            "exact": report.tail if mode == "exact" else None,
-                            "limit": None,
-                            "s": report.s,
-                            "bound": report.bound,
-                            "margin": report.margin,
-                            "mode": mode,
-                            "seed": config.seed,
-                        }
-                    )
-    return ExperimentReport(
-        experiment="tail_vs_bound",
-        config=config.to_dict(),
-        rows=rows,
-        seed=config.seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return _run(config, _kernel_tail_indicators,
+                lambda n: _tail_kernel_args(config, n), _tail_vs_bound_rows)
 
 
 EXPERIMENTS = {

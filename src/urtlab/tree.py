@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
@@ -108,8 +108,12 @@ def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
 
 
 def _degrees_from_parents(parent: np.ndarray) -> np.ndarray:
-    n = parent.shape[0]
-    degree = np.bincount(parent[1:], minlength=n).astype(np.int32)
+    """Degrees as bincount's int64; :func:`_assemble` stores them as int32.
+
+    Kernels that read degrees once skip that copy, and the one numpy makes
+    when an int32 array is bincounted.
+    """
+    degree = np.bincount(parent[1:], minlength=parent.shape[0])
     degree[1:] += 1  # parent edge
     return degree
 
@@ -118,7 +122,7 @@ def _assemble(parent: np.ndarray, model: GrowthModel, seed: Union[int, str]) -> 
     return RecursiveTree(
         n=parent.shape[0],
         parent=parent,
-        degree=_degrees_from_parents(parent),
+        degree=_degrees_from_parents(parent).astype(np.int32),
         level=_levels_from_parents(parent),
         model=model,
         seed=seed,
@@ -168,23 +172,29 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     return parent
 
 
+def _parents(model: Union[str, GrowthModel], n: int, seed: int) -> np.ndarray:
+    """The parent array :func:`grow` builds, without degrees or levels.
+
+    Callers that read only some derived arrays (the experiment kernels)
+    apply :func:`_degrees_from_parents` or :func:`_levels_from_parents`
+    themselves.
+    """
+    model = GrowthModel.parse(model)
+    n = int(n)
+    if n < model.min_nodes:
+        raise ValueError(f"{model.name} growth needs n >= {model.min_nodes}, got {n}")
+    sample = _uniform_parents if model is GrowthModel.UNIFORM else _preferential_parents
+    return sample(n, generator(check_seed(seed)))
+
+
 def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     """Grow an ``n``-node tree under ``model`` from a 64-bit ``seed``.
 
     UNIFORM requires ``n >= 1``; PREFERENTIAL starts from the edge
     ``{0, 1}`` and requires ``n >= 2``.
     """
-    model = GrowthModel.parse(model)
-    n = int(n)
-    if n < model.min_nodes:
-        raise ValueError(f"{model.name} growth needs n >= {model.min_nodes}, got {n}")
-    seed = check_seed(seed)
-    rng = generator(seed)
-    if model is GrowthModel.UNIFORM:
-        parent = _uniform_parents(n, rng)
-    else:
-        parent = _preferential_parents(n, rng)
-    return _assemble(parent, model, seed)
+    parent = _parents(model, n, seed)
+    return _assemble(parent, GrowthModel.parse(model), check_seed(seed))
 
 
 def grow_from_sequence(

@@ -23,6 +23,7 @@ from urtlab import (
     ExperimentConfig,
     check_falling_factorial_identities,
     degree_counts_in_level,
+    degree_head,
     degree_tail,
     enumerate_trees,
     enumeration_moment,
@@ -169,7 +170,7 @@ def test_criterion_04_tail_bound_domination():
                     if a >= s:
                         continue
                     checks += 1
-                    if lower_tail_bound(a, s) < 1.0 - float(degree_tail(i, n, a)) - 1e-12:
+                    if lower_tail_bound(a, s) < float(degree_head(i, n, a)) - 1e-12:
                         violations += 1
         assert checks > 10_000
         assert violations == 0

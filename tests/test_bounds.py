@@ -1,12 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from urtlab import (
-    TailBoundReport,
     chernoff_upper_raw,
+    degree_head,
     degree_tail,
     expected_children,
     lower_tail_bound,
@@ -15,7 +14,6 @@ from urtlab import (
     tail_bound_pair,
     upper_tail_bound,
 )
-from urtlab.bounds import write_tail_reports
 
 
 def test_expected_children_values():
@@ -120,7 +118,7 @@ def test_quadratic_bounds_dominate_exact_tails_on_grid():
             for a in range(0, int(math.ceil(s)) if s > 0 else 0):
                 if a >= s:
                     continue
-                exact = 1.0 - float(degree_tail(i, n, a))  # P(X <= a)
+                exact = float(degree_head(i, n, a))  # P(X <= a)
                 assert lower_tail_bound(a, s) >= exact - 1e-12, (n, i, a)
 
 
@@ -130,12 +128,3 @@ def test_raw_chernoff_value():
     with pytest.raises(ValueError):
         chernoff_upper_raw(1.0, 1.5)
 
-
-def test_tail_report_csv():
-    row = TailBoundReport.make(3, 100, 0.5, 0.1, "upper", 1.2, 0.8, 0.1, "exact")
-    assert row.margin == pytest.approx(0.7)
-    buf = io.StringIO()
-    write_tail_reports([row], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("i,n,t,eps,side,s,bound,tail,mode,margin")
-    assert lines[1].startswith("3,100,0.5,0.1,upper,")

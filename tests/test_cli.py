@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from urtlab.cli import cli_main
-from urtlab.experiments import EXPERIMENTS, MODEL_EXPERIMENTS
+from urtlab import experiments
 from urtlab.tree import load_tree
 
 
@@ -250,6 +250,15 @@ def test_experiment_file_omits_execution_settings(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_experiment_echo_shows_the_clamped_worker_count(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.delenv("URT_THREADS", raising=False)
+    code, _, err = run_cli(capsys, "experiment", "max_degree", "--n", "50", "--reps", "4",
+                           "--seed", "1", "--workers", "1000000")
+    assert code == 0
+    assert '"workers": 1, "format": "json"' in err
+
+
 def test_experiment_csv_to_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "experiment", "degree_distribution", "--n", "500", "--reps", "3",
@@ -262,7 +271,7 @@ def test_experiment_csv_to_stdout(capsys):
 def test_experiment_refuses_a_model_it_does_not_grow(capsys):
     """Only degree_distribution grows preferential trees; the rest would
     simulate uniform trees under a config that says otherwise."""
-    uniform_only = sorted(set(EXPERIMENTS) - set(MODEL_EXPERIMENTS))
+    uniform_only = sorted(e for e, fields in experiments.READS.items() if "model" not in fields)
     assert len(uniform_only) == 6
     for experiment in uniform_only + ["theorem21"]:
         code, out, err = run_cli(capsys, "experiment", experiment, "--n", "50", "--reps", "4",

@@ -13,11 +13,15 @@ from urtlab import (
     high_degree_fraction,
     run_experiment,
 )
+from urtlab import experiments
 from urtlab.experiments import (
+    ECHOED,
     EXPERIMENT_ALIASES,
     EXPERIMENTS,
+    READS,
     _kernel_level_exceedance,
     degree_fraction_limit,
+    resolve_workers,
     total_variation_to_poisson1,
 )
 from urtlab.rng import derive_seed
@@ -47,9 +51,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(model="preferential", n_grid=(1,))
     with pytest.raises(ValueError):
-        small_config(fmt="xml")
-    with pytest.raises(ValueError):
         run_experiment(small_config(experiment="nonsense"))
+    with pytest.raises(ValueError):
+        run_experiment(small_config(replications=2)).render("xml")
 
 
 def test_kernel_matches_public_api():
@@ -78,6 +82,31 @@ def test_env_var_overrides_worker_count(monkeypatch):
     monkeypatch.delenv("URT_THREADS")
     r2 = run_experiment(small_config(workers=1))
     assert r1.canonical_bytes() == r2.canonical_bytes()
+
+
+def test_worker_count_is_clamped_to_cpus_and_replications(monkeypatch):
+    """Only resolves the count: no pool is started with the huge request."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.delenv("URT_THREADS", raising=False)
+    assert resolve_workers(10**6) == 3
+    assert resolve_workers(10**6, 2) == 2
+    assert resolve_workers(None, 100) == 3
+    assert resolve_workers(0, 100) == 1
+    monkeypatch.setenv("URT_THREADS", str(10**6))
+    assert resolve_workers(1, 100) == 3
+    assert resolve_workers(1, 2) == 2
+
+
+def test_report_echoes_only_the_fields_the_experiment_reads():
+    base = dict(experiment="degree_distribution", n_grid=(500,), replications=3, seed=1,
+                d_max=2, workers=1)
+    unread = run_experiment(ExperimentConfig(**base, k_grid=(7,), t_grid=(0.9,), eps=0.4))
+    default = run_experiment(ExperimentConfig(**base))
+    assert unread.canonical_bytes() == default.canonical_bytes()
+    assert list(default.config) == list(ECHOED) + ["model", "d_max"]
+    for name in EXPERIMENTS:
+        rep = run_experiment(small_config(experiment=name, k_grid=(2,), replications=2))
+        assert set(rep.config) == set(ECHOED + READS[name]), name
 
 
 def test_level_exceedance_tiny_threshold_is_degenerate_one():
@@ -215,6 +244,7 @@ def test_tail_vs_bound_exact_rows_dominate():
     assert data_rows, "expected comparison rows"
     assert all(r["mode"] == "exact" for r in data_rows)
     assert all(r["margin"] >= 0.0 for r in data_rows)
+    assert all(r["margin"] == r["bound"] - r["estimate"] for r in data_rows)
 
 
 def test_tail_vs_bound_skips_invalid_combinations():
