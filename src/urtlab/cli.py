@@ -171,13 +171,10 @@ def _cmd_bounds(args) -> int:
                 payload["chernoff_upper_raw"] = bnd.chernoff_upper_raw(a, s)
             elif a < s:
                 payload["lower_tail_bound"] = bnd.lower_tail_bound(a, s)
-            if args.n - args.i <= oracle.DEGREE_TAIL_MAX_SPAN:
-                # P(X >= a) pairs with the upper bound, P(X <= a) with the lower
-                strict_below = a - 1 if float(a).is_integer() else a
-                payload["exact_tail_geq_a"] = float(
-                    oracle.degree_tail(args.i, args.n, strict_below)
-                )
-                payload["exact_tail_leq_a"] = float(oracle.degree_head(args.i, args.n, a))
+            # P(X >= a) pairs with the upper bound, P(X <= a) with the lower
+            strict_below = a - 1 if float(a).is_integer() else a
+            payload["exact_tail_geq_a"] = float(oracle.degree_tail(args.i, args.n, strict_below))
+            payload["exact_tail_leq_a"] = float(oracle.degree_head(args.i, args.n, a))
     if args.t is not None:
         if args.n is None:
             raise ValueError("--t needs --n")

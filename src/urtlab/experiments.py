@@ -11,9 +11,10 @@ the worker count changes wall time only.
 One driver, :func:`_run`, serves all seven experiments.  Each experiment
 supplies a picklable per-replication kernel of ``(args, seed)``, the
 kernel's arguments at each ``n`` and a row builder that turns the
-``(replications x columns)`` table at that ``n`` into report rows.  When
+``(replications x columns)`` table at that ``n`` into report rows;
+``tail_vs_bound`` has no kernel, as its rows are exact.  When
 ``workers > 1`` the driver opens one process pool for the whole run, and
-only if some ``n`` needs simulation.  Kernels grow trees through
+only if there is a kernel.  Kernels grow trees through
 :func:`urtlab.tree._parents`, the draws :func:`urtlab.tree.grow` makes,
 and derive only the arrays they read (degrees, and levels where a kernel
 looks past level 1), which matters at ``n = 10^6``.
@@ -49,6 +50,9 @@ from .tree import GrowthModel, _degrees_from_parents, _levels_from_parents, _par
 SCHEMA = "urt-report/1"
 WORKER_ENV = "URT_THREADS"
 ECHOED = ("experiment", "n_grid", "replications", "seed")  # in every report's config echo
+# level_exceedance rows carry exact_numerator up to this n; past it the count's
+# all-node tail sweep holds O(n) rows and its 5-SE check has no derived rate
+EXACT_NUMERATOR_MAX_N = 10_000
 
 # config fields each experiment reads besides ECHOED; its report echoes them too
 READS = {
@@ -228,29 +232,27 @@ def _replicate(kernel: Callable, cfg: tuple, seeds: list[int], pool, workers: in
     return np.asarray(pool.map(call, seeds, chunksize=max(1, len(seeds) // (workers * 8))))
 
 
-def _run(config: ExperimentConfig, kernel: Callable, kernel_args: Callable,
+def _run(config: ExperimentConfig, kernel: Optional[Callable], kernel_args: Optional[Callable],
          summarise: Callable) -> ExperimentReport:
     """Replicate ``kernel`` at each n of the grid and report the rows.
 
-    ``kernel_args(n)`` is the kernel's first argument at ``n``, or ``None``
-    when the rows at ``n`` need no simulation; ``summarise(config, n,
-    table)`` builds the rows at ``n`` from the per-replication table
-    (``None`` where nothing was simulated).
+    ``kernel_args(n)`` is the kernel's first argument at ``n``;
+    ``summarise(config, n, table)`` builds the rows at ``n`` from the
+    per-replication table, which is ``None`` when there is no kernel and
+    nothing is simulated.
     """
     t0 = time.perf_counter()
     workers = resolve_workers(config.workers, config.replications)
-    plan = [(n, kernel_args(n)) for n in config.n_grid]
-    parallel = workers > 1 and config.replications >= 4
-    parallel = parallel and any(args is not None for _, args in plan)
+    parallel = kernel is not None and workers > 1 and config.replications >= 4
     # replication r has the same seed at every n; derived before the pool
     # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
     seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
     rows = []
     with get_context().Pool(workers) if parallel else nullcontext() as pool:
-        for n, args in plan:
+        for n in config.n_grid:
             table = None
-            if args is not None:
-                table = _replicate(kernel, args, seeds, pool, workers)
+            if kernel is not None:
+                table = _replicate(kernel, kernel_args(n), seeds, pool, workers)
             rows.extend(summarise(config, n, table))
     echoed = ECHOED + READS[config.experiment]
     return ExperimentReport(
@@ -318,7 +320,7 @@ def _level_exceedance_rows(config, n, table):
             num_mean, num_se = _mean_se(nums)
             exact_numerator = None
             exact_level_size = None
-            if n <= oracle.DEGREE_TAIL_MAX_SPAN:
+            if n <= EXACT_NUMERATOR_MAX_N:
                 exact_numerator = float(oracle.expected_exceedance_count(n, k, t))
                 exact_level_size = float(oracle.expected_level_size(n, k, exact=False))
             rows.append(
@@ -695,63 +697,29 @@ def _tail_cases(n: int, config: ExperimentConfig):
             yield t, side, bound, indices, note
 
 
-def _exact_tails(n: int, indices) -> bool:
-    return n - min(indices) <= oracle.DEGREE_TAIL_MAX_SPAN
-
-
-def _tail_kernel_args(config: ExperimentConfig, n: int):
-    """Threshold and node indices of every case simulated at ``n``, or None."""
-    groups = tuple(
-        (t * math.log(n), tuple(indices))
-        for t, _, _, indices, note in _tail_cases(n, config)
-        if note is None and not _exact_tails(n, indices)
-    )
-    return (n, groups) if groups else None
-
-
-def _kernel_tail_indicators(cfg, seed):
-    n, groups = cfg
-    # n counts attachment steps here: the grown tree has n+1 nodes so node
-    # i's child count is a sum of indicators over steps i+1..n.
-    degree = _degrees_from_parents(_parents("uniform", n + 1, seed))
-    return tuple(
-        1.0 if degree[i] - 1 > threshold else 0.0
-        for threshold, indices in groups for i in indices
-    )
-
-
 def _tail_vs_bound_rows(config, n, table):
     rows = []
-    col = 0  # next simulated column, consumed in _tail_kernel_args order
     for t, side, bound, indices, note in _tail_cases(n, config):
         point = {"n": n, "t": t, "eps": float(config.eps), "side": side}
         if note is not None:
             rows.append({"point": point, "note": note, "seed": config.seed})
             continue
         threshold = t * math.log(n)
-        exact = _exact_tails(n, indices)
+        # the lower side reads the head itself, not 1 - tail, which cancels when small
+        law = oracle.degree_tail if side == "upper" else oracle.degree_head
         for i in indices:
-            se = None
-            if not exact:
-                tail, se = _mean_se(table[:, col])
-                col += 1
-                if side == "lower":
-                    tail = 1.0 - tail
-            elif side == "upper":
-                tail = float(oracle.degree_tail(i, n, threshold))
-            else:  # the head itself, not 1 - tail, which cancels when small
-                tail = float(oracle.degree_head(i, n, threshold))
+            tail = float(law(i, n, threshold))
             rows.append(
                 {
                     "point": {**point, "i": i},
                     "estimate": tail,
-                    "se": _clean(se),
-                    "exact": tail if exact else None,
+                    "se": None,
+                    "exact": tail,
                     "limit": None,
                     "s": bnd.expected_children(i, n),
                     "bound": bound,
                     "margin": bound - tail,
-                    "mode": "exact" if exact else "monte-carlo",
+                    "mode": "exact",
                     "seed": config.seed,
                 }
             )
@@ -759,17 +727,15 @@ def _tail_vs_bound_rows(config, n, table):
 
 
 def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
-    """Closed-form bounds against exact tails (in guard) or Monte Carlo.
+    """Closed-form bounds against exact tails at every n; nothing is simulated.
 
     For each (n, t) and the configured ``eps``: late nodes
-    (``i > n^(1-t+eps)``) compare ``P(X > t ln n)`` with the high-index
-    bound; early nodes (``i <= n^(1-t-eps)-1``) compare ``P(X <= t ln n)``
-    with the low-index bound.  One tree per replication serves every
-    simulated (t, side, i) at an n.  Skipped (t, eps) combinations are
-    recorded as note rows.
+    (``i > n^(1-t+eps)``) compare ``P(X > t ln n)`` from ``degree_tail``
+    with the high-index bound; early nodes (``i <= n^(1-t-eps)-1``) compare
+    ``P(X <= t ln n)`` from ``degree_head`` with the low-index bound.
+    Skipped (t, eps) combinations are recorded as note rows.
     """
-    return _run(config, _kernel_tail_indicators,
-                lambda n: _tail_kernel_args(config, n), _tail_vs_bound_rows)
+    return _run(config, None, None, _tail_vs_bound_rows)
 
 
 EXPERIMENTS = {

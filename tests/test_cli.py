@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 import tracemalloc
 
 import pytest
@@ -205,6 +206,52 @@ def test_bounds_small_exact_head_keeps_its_digits(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--i", "2", "--n", "10001", "--a", "0")
     assert code == 0
     assert json.loads(out)["exact_tail_leq_a"] == pytest.approx(2 / 10001, rel=1e-15)
+
+
+def test_bounds_prints_exact_tails_at_any_span(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--i", "1", "--n", "1000000", "--a", "20")
+    assert code == 0
+    payload = json.loads(out)
+    geq, leq = payload["exact_tail_geq_a"], payload["exact_tail_leq_a"]
+    assert 0 < geq < 1 and 0 < leq < 1 and geq + leq > 1  # both hold P(X = 20)
+    assert payload["upper_tail_bound"] >= geq
+
+
+def test_bounds_threshold_past_the_support_is_immediate(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bounds", "--i", "1", "--n", "1000000", "--a", "2000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact_tail_geq_a"] == 0.0 and payload["exact_tail_leq_a"] == 1.0
+
+
+def test_bounds_past_the_work_guard_exits_2(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--i", "1", "--n", "1000000", "--a", "500")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "degree tails are guarded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--n", "1000000000000", "--seed", "1"),
+    ("stats", "--n", "1000000000000", "--seed", "1"),
+    ("experiment", "level_exceedance", "--n", "1000000000000", "--reps", "4", "--seed", "1",
+     "--workers", "1"),
+    ("experiment", "level_exceedance", "--n", "1000000000000", "--reps", "4", "--seed", "1",
+     "--workers", "2"),
+])
+def test_growth_past_physical_memory_exits_2_before_allocating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)  # the last case uses a pool
+    monkeypatch.delenv("URT_THREADS", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "physical memory" in err and "Traceback" not in err
+    assert peak < 2**20
 
 
 def test_bounds_domain_error_exit_code(capsys):

@@ -3,8 +3,11 @@
 ``PINNED`` holds the sha256 of ``json.dumps(report.rows)`` for a fixed
 matrix of configs: every experiment, both growth models where the
 experiment grows both, and an n grid that gives ``tail_vs_bound`` exact
-and Monte Carlo rows.  A change to the driver, the kernels or the growth
-primitives that moves one row changes its digest.
+rows on both sides of n - i = 10^4, where the tails span more than one
+block of weights, and note rows.  A change to the driver, the kernels, the
+growth primitives or the exact tails that moves one row changes its
+digest; the n = 500 rows of ``tail_vs_bound`` carry a digest of their own.
+``tail_vs_bound`` simulates nothing, so it opens no pool at any n.
 """
 
 import hashlib
@@ -50,7 +53,7 @@ PINNED = {
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",
     "max_degree": "052a9c0ce7f1cebfa166f20276b092c6633cd9efee838a96b047d817180cc50a",
     "higher_level_small_degree": "02b021742ef5b6321632a678d27f06d650f218c2350596e7d116078da28095d2",
-    "tail_vs_bound": "9bd99130ec0ca8c1ac3fb88eea1fcbd54b85b77207f3e316d133d05f93dbac4c",
+    "tail_vs_bound": "3f76237e3c7319f1ea5c483b1c988ff80a509966eda85a0b373e3943670ea9d3",
 }
 
 
@@ -65,15 +68,22 @@ def test_rows_are_pinned_for_one_and_two_workers(case):
     assert one.canonical_bytes() == two.canonical_bytes()
 
 
-def test_tail_vs_bound_matrix_has_exact_and_monte_carlo_rows():
+TAIL_VS_BOUND_N500 = "210c6bb613feebef81b57760c4887b7a0f5fcdd613a19f3c29ec1f185bdfaaad"
+
+
+def test_tail_vs_bound_matrix_has_exact_and_note_rows():
     rep = run_experiment(ExperimentConfig(**MATRIX["tail_vs_bound"], workers=1))
-    modes = {row.get("mode") for row in rep.rows}
-    assert {"exact", "monte-carlo"} <= modes
+    data = [row for row in rep.rows if "note" not in row]
+    assert data and all(row["mode"] == "exact" and row["se"] is None for row in data)
+    assert all(row["exact"] == row["estimate"] and row["margin"] >= 0 for row in data)
+    assert any(row["point"]["n"] - row["point"]["i"] > 10_000 for row in data)
     assert any("note" in row for row in rep.rows)
+    rows500 = [row for row in rep.rows if row["point"]["n"] == 500]
+    assert hashlib.sha256(json.dumps(rows500).encode()).hexdigest() == TAIL_VS_BOUND_N500
 
 
 def test_a_run_opens_at_most_one_pool(monkeypatch):
-    """Two workers over a multi-n grid share one pool; no simulation, no pool."""
+    """Two workers over a multi-n grid share one pool; tail_vs_bound opens none."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.delenv("URT_THREADS", raising=False)
     created = []
@@ -86,9 +96,6 @@ def test_a_run_opens_at_most_one_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
     run_experiment(ExperimentConfig(**MATRIX["level_exceedance"], workers=2))
     assert len(created) == 1
-    run_experiment(ExperimentConfig(**MATRIX["tail_vs_bound"], workers=2))
-    assert len(created) == 2
-    exact_only = dict(MATRIX["tail_vs_bound"], n_grid=(500, 2000))
-    rep = run_experiment(ExperimentConfig(**exact_only, workers=2))
+    rep = run_experiment(ExperimentConfig(**MATRIX["tail_vs_bound"], workers=2))
     assert {row.get("mode") for row in rep.rows} == {"exact", None}
-    assert len(created) == 2
+    assert len(created) == 1

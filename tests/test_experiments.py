@@ -257,19 +257,6 @@ def test_tail_vs_bound_skips_invalid_combinations():
     assert notes and any("skipped" in r["note"] for r in notes)
 
 
-def test_tail_vs_bound_monte_carlo_mode():
-    cfg = ExperimentConfig(
-        experiment="tail_vs_bound", n_grid=(30_000,), replications=60, seed=9,
-        t_grid=(0.5,), eps=0.1, workers=1,
-    )
-    rep = run_experiment(cfg)
-    mc = [r for r in rep.rows if r.get("mode") == "monte-carlo"]
-    assert mc, "large n should fall back to Monte Carlo for early nodes"
-    for r in mc:
-        slack = 4 * (r["se"] or 0.0)
-        assert r["estimate"] <= r["bound"] + slack
-
-
 def test_aliases_cover_spec_ids():
     assert EXPERIMENT_ALIASES["theorem21"] in EXPERIMENTS
     assert EXPERIMENT_ALIASES["theorem31"] in EXPERIMENTS

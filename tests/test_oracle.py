@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,9 @@ from urtlab import (
 )
 from urtlab import oracle
 from urtlab.oracle import child_count_tails, node_level_probabilities, tree_count
+from urtlab.rng import derive_seed
 from urtlab.stats import exceedance_count
+from urtlab.tree import _parents
 
 
 def test_enumeration_counts():
@@ -135,12 +139,34 @@ def test_degree_tail_monotone_and_bounded():
 
 
 def test_degree_tail_guard_and_domain():
-    with pytest.raises(ResourceGuardError):
-        degree_tail(1, 20_000, 1)
+    """The work guard, (n - i) x rows, refuses before anything is allocated."""
+    tracemalloc.start()
+    try:
+        for law, i, n, threshold in ((degree_head, 1, 10**6 + 1, 100),  # 10^6 x 101 rows
+                                     (degree_tail, 1, 10**6 + 1, 90),  # 91 rows and the tail past them
+                                     (degree_tail, 1, 10**9, 10**6),
+                                     (degree_head, 5, 10**12, 1e6)):
+            with pytest.raises(ResourceGuardError, match="degree tails are guarded"):
+                law(i, n, threshold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     with pytest.raises(ValueError):
         degree_tail(0, 10, 1)
     with pytest.raises(ValueError):
         degree_tail(10, 10, 1)
+    with pytest.raises(ValueError):
+        degree_head(1, 10**6, math.nan)
+
+
+def test_thresholds_outside_the_support_are_answered_at_once():
+    """X takes the values 0..n-i, at any span."""
+    for i, n in ((1, 30), (1, 10**6), (7, 10**12)):
+        for threshold in (n - i, n - i + 0.5, 2 * n, math.inf):
+            assert degree_tail(i, n, threshold) == 0 and degree_head(i, n, threshold) == 1
+        assert degree_tail(i, n, -0.5) == 1 and degree_head(i, n, -0.5) == 0
+    assert isinstance(degree_tail(1, 30, 29), Fraction)
 
 
 def test_degree_tail_above_every_count_is_zero():
@@ -310,6 +336,12 @@ def test_tiny_tails_keep_their_relative_accuracy():
     assert 0 < exact < 1e-12
     assert degree_tail(i, n, c) == pytest.approx(float(exact), rel=1e-12)
     assert child_count_tails(n + 1, c)[i - 1] == pytest.approx(float(exact), rel=1e-12)
+    # the same across blocks of weights: 2501 weights in blocks of 800
+    i, n = 7500, 10001
+    exact = 1 - Fraction(i, n) * Fraction(sum(_rising_coefficients(i, n, c)), math.prod(range(i, n)))
+    assert 0 < exact < 1e-12
+    tail = oracle._degree_law_sum(i, n, c, upper=True, block=800)
+    assert tail == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_degree_head_is_the_exact_complement_of_the_tail():
@@ -322,7 +354,8 @@ def test_degree_head_is_the_exact_complement_of_the_tail():
 
 
 def test_float_degree_head_against_rational_evaluation():
-    """Small heads come from the head coefficients, not from 1 - tail."""
+    """Small heads come from the head coefficients, not from 1 - tail, in one
+    block of weights or carried across 3-4 blocks of 3000."""
     n = 10001
     for i in (1, 2, 7, 3333, n - 1):
         prod = math.prod(range(i, n))
@@ -330,8 +363,77 @@ def test_float_degree_head_against_rational_evaluation():
             # P(X <= a) = (i / n) sum_{m <= a} [z^m] prod_{m=i}^{n-1} (m + z) / prod m
             coef = _rising_coefficients(i, n, math.floor(min(a, n - i)))
             exact = Fraction(i, n) * Fraction(sum(coef), prod)
-            head = degree_head(i, n, a)
-            assert abs(Fraction(head) - exact) <= exact / 10**15, (i, a)
+            for head in (degree_head(i, n, a),
+                         oracle._degree_law_sum(i, n, a, upper=False, block=3000)):
+                assert abs(Fraction(head) - exact) <= exact / 10**15, (i, a)
+
+
+# sha256 of the float64 bytes of the values below from the single-pass
+# engines: spans up to 10^4 fit one block of weights, which must leave
+# every one of them bit for bit
+SINGLE_BLOCK_SPANS = [(1, 100), (3, 200), (60, 65), (7, 2000), (999, 1000), (1, 10001),
+                      (2, 10001), (3333, 10001), (9990, 10001)]
+SINGLE_BLOCK_THRESHOLDS = [-0.5, 0, 1, 2.5, 3.0, 4.6, 7.9, 12, 25, 40]
+SINGLE_BLOCK_DIGESTS = {
+    "heads": "71b7da6974242acca63b2fb022c7742c68b8127a19a728c4ca7d452c9f48f62b",
+    "tails": "10638cc0c0ab9c57f615c0eb2d0e6e7c672f40a3afd3f3c988d67337e83c93ac",
+    "sweeps": "3200727b2427d9218fdc1fcecf26fb6aa71e7a352df114b3445facd080272510",
+}
+
+
+def test_tails_up_to_a_span_of_ten_thousand_are_pinned_bit_for_bit():
+    def grid(law):
+        return [float(law(i, n, a)) for i, n in SINGLE_BLOCK_SPANS
+                for a in SINGLE_BLOCK_THRESHOLDS + [n - i, n]]
+
+    values = {
+        "heads": grid(degree_head),
+        "tails": grid(degree_tail),
+        "sweeps": np.concatenate([child_count_tails(n, a) for n in (100, 2001, 10002)
+                                  for a in (0.0, 3.0, 6.4, 12.0)]),
+    }
+    digests = {k: hashlib.sha256(np.asarray(v, dtype=np.float64).tobytes()).hexdigest()
+               for k, v in values.items()}
+    assert digests == SINGLE_BLOCK_DIGESTS
+
+
+def _binomial_acceptance(reps, p, alpha):
+    """``[lo, hi]`` leaving at most ``alpha / 2`` of Binomial(reps, p) on each side."""
+    pmf = [math.comb(reps, k) * p**k * (1 - p) ** (reps - k) for k in range(reps + 1)]
+    lo, below = 0, 0.0
+    while below + pmf[lo] <= alpha / 2:
+        below += pmf[lo]
+        lo += 1
+    hi, above = reps, 0.0
+    while above + pmf[hi] <= alpha / 2:
+        above += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
+def test_degree_tails_at_a_million_against_grown_trees():
+    """Monte Carlo cross-check of the blocked tails and heads at n = 10^6.
+
+    Each tree on n + 1 nodes, grown by ``tree._parents``, gives one draw of
+    node i's child count X over steps i+1..n.  The number of trees with
+    X > threshold (tail) or X <= threshold (head) is then Binomial(reps, p)
+    with p the oracle's value, and each check accepts the interval that
+    leaves at most 1e-6 / 6 of that law outside, summed exactly: a correct
+    oracle fails this test with probability at most 1e-6.
+    """
+    n, reps = 10**6, 120
+    cases = [(1, 13.8, degree_tail), (14, 9.67, degree_head), (251, 6.9, degree_tail),
+             (3981, 4.1, degree_head), (3981, 6.9, degree_tail), (10**5, 2.5, degree_head)]
+    hits = [0] * len(cases)
+    for r in range(reps):
+        parent = _parents("uniform", n + 1, derive_seed(2024, r))
+        for c, (i, threshold, law) in enumerate(cases):
+            above = np.count_nonzero(parent == i) > threshold
+            hits[c] += above == (law is degree_tail)
+    for (i, threshold, law), k in zip(cases, hits):
+        p = float(law(i, n, threshold))
+        lo, hi = _binomial_acceptance(reps, p, 1e-6 / len(cases))
+        assert lo <= k <= hi, (law.__name__, i, threshold, p, k, lo, hi)
 
 
 def test_enumeration_moment_enumerates_once_per_n(monkeypatch):
