@@ -44,14 +44,15 @@ import numpy as np
 from . import bounds as bnd
 from . import oracle
 from .moments import EXACT_MOMENT_MAX_N, ExponentVector, MomentTable, factorial_moments_float
+from .oracle import _degree_law_sums
 from .rng import check_seed, derive_seed
 from .tree import GrowthModel, _degrees_from_parents, _levels_from_parents, _parents
 
 SCHEMA = "urt-report/1"
 WORKER_ENV = "URT_THREADS"
 ECHOED = ("experiment", "n_grid", "replications", "seed")  # in every report's config echo
-# level_exceedance rows carry exact_numerator up to this n; past it the count's
-# all-node tail sweep holds O(n) rows and its 5-SE check has no derived rate
+# level_exceedance rows carry exact_numerator up to this n: past it the tails cost
+# ~1 s per point at 10^6, and the benchmark's 5-SE check on the count has no derived rate
 EXACT_NUMERATOR_MAX_N = 10_000
 
 # config fields each experiment reads besides ECHOED; its report echoes them too
@@ -115,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
         if any(not 0.0 < t < 1.0 for t in self.t_grid):
             raise ValueError(f"t values must lie in (0, 1), got {self.t_grid}")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -348,6 +351,8 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
     Rows carry the mean and SE of both the fraction and the raw exceedance
     count, plus the exact expected count where the DP oracle is in range.
     """
+    if min(config.k_grid) < 1:
+        raise ValueError(f"this experiment needs levels k >= 1, got {config.k_grid}")
     return _run(config, _kernel_level_exceedance,
                 lambda n: (n, config.k_grid, config.t_grid), _level_exceedance_rows)
 
@@ -676,63 +681,51 @@ def _admissible_indices(n: int, t: float, eps: float, side: str, points: int = 8
     return [int(i) for i in grid if lo <= i <= hi]
 
 
-def _tail_cases(n: int, config: ExperimentConfig):
-    """``(t, side, bound, indices, note)`` per (t, side) at ``n``, in row order.
-
-    ``note`` says why a case is skipped; ``indices`` is then empty.
-    """
-    eps = float(config.eps)
-    for t in config.t_grid:
-        for side in ("upper", "lower"):
-            try:
-                if side == "upper":
-                    bound = bnd.tail_bound_high_index(n, t, eps)
-                else:
-                    bound = bnd.tail_bound_low_index(n, t, eps)
-            except ValueError as exc:
-                yield t, side, None, [], f"skipped: {exc}"
-                continue
-            indices = _admissible_indices(n, t, eps, side)
-            note = None if indices else "skipped: no admissible node indices"
-            yield t, side, bound, indices, note
-
-
 def _tail_vs_bound_rows(config, n, table):
     rows = []
-    for t, side, bound, indices, note in _tail_cases(n, config):
-        point = {"n": n, "t": t, "eps": float(config.eps), "side": side}
-        if note is not None:
-            rows.append({"point": point, "note": note, "seed": config.seed})
-            continue
-        threshold = t * math.log(n)
-        # the lower side reads the head itself, not 1 - tail, which cancels when small
-        law = oracle.degree_tail if side == "upper" else oracle.degree_head
-        for i in indices:
-            tail = float(law(i, n, threshold))
-            rows.append(
-                {
-                    "point": {**point, "i": i},
-                    "estimate": tail,
-                    "se": None,
-                    "exact": tail,
-                    "limit": None,
-                    "s": bnd.expected_children(i, n),
-                    "bound": bound,
-                    "margin": bound - tail,
-                    "mode": "exact",
-                    "seed": config.seed,
-                }
-            )
+    eps = float(config.eps)
+    for t in config.t_grid:
+        for side, tail_bound in (("upper", bnd.tail_bound_high_index),
+                                 ("lower", bnd.tail_bound_low_index)):
+            point = {"n": n, "t": t, "eps": eps, "side": side}
+            try:
+                bound = tail_bound(n, t, eps)
+            except ValueError as exc:
+                rows.append({"point": point, "note": f"skipped: {exc}", "seed": config.seed})
+                continue
+            indices = _admissible_indices(n, t, eps, side)
+            if not indices:
+                rows.append({"point": point, "note": "skipped: no admissible node indices",
+                             "seed": config.seed})
+                continue
+            # one pass serves every index; the lower side reads the head itself, not
+            # 1 - tail, which cancels when small
+            laws = _degree_law_sums(n, indices, t * math.log(n), upper=side == "upper")
+            for i, tail in zip(indices, map(float, laws)):
+                rows.append(
+                    {
+                        "point": {**point, "i": i},
+                        "estimate": tail,
+                        "se": None,
+                        "exact": tail,
+                        "limit": None,
+                        "s": bnd.expected_children(i, n),
+                        "bound": bound,
+                        "margin": bound - tail,
+                        "mode": "exact",
+                        "seed": config.seed,
+                    }
+                )
     return rows
 
 
 def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
     """Closed-form bounds against exact tails at every n; nothing is simulated.
 
-    For each (n, t) and the configured ``eps``: late nodes
-    (``i > n^(1-t+eps)``) compare ``P(X > t ln n)`` from ``degree_tail``
-    with the high-index bound; early nodes (``i <= n^(1-t-eps)-1``) compare
-    ``P(X <= t ln n)`` from ``degree_head`` with the low-index bound.
+    For each (n, t) and the configured ``eps``, one degree-law pass reads
+    ``P(X > t ln n)`` of every late node (``i > n^(1-t+eps)``) against the
+    high-index bound, another ``P(X <= t ln n)`` of every early node
+    (``i <= n^(1-t-eps)-1``) against the low-index bound.
     Skipped (t, eps) combinations are recorded as note rows.
     """
     return _run(config, None, None, _tail_vs_bound_rows)

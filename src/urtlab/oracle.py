@@ -15,9 +15,9 @@
     ``P(X > c) = (i/n) sum_{m > c} e_m``.
 
   :func:`_truncated_product` computes them all, in exact rationals up to
-  ``n = 64`` and in double precision beyond.  Single-node laws carry the
-  weights in blocks, so their memory is O(block) at any ``n``; only the
-  all-node sweep :func:`child_count_tails` is guarded by ``n``.
+  ``n = 64`` and in double precision beyond.  The child-count laws of any
+  set of nodes come from one blocked pass, :func:`_degree_law_sums`, at any
+  ``n`` in O(block) memory plus O(1) per node, guarded by work alone.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from .tree import RecursiveTree, grow_from_sequence
 
 ENUMERATION_MAX_NODES = 11  # 10! = 3.6M sequences
 RATIONAL_DP_MAX_NODES = 64  # exact rational DP guard
-TAIL_SWEEP_MAX_SPAN = 10_000  # child_count_tails holds full-length rows
-DEGREE_TAIL_MAX_WORK = 10**8  # weights x coefficient rows in one degree_tail or degree_head
-_TAIL_BLOCK = 1 << 14  # weights per block of the degree tails
+DEGREE_TAIL_MAX_WORK = 10**8  # weights x coefficient rows in one pass of _degree_law_sums
+_TAIL_BLOCK = 1 << 14  # weights per block of that pass
 
 
 def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
@@ -266,24 +265,6 @@ def _truncated_total(lo: int, hi: int, dtype, order: int, block: int = 4096) -> 
     return e
 
 
-def _upper_sums(w: np.ndarray, threshold: float) -> np.ndarray:
-    """``sum_{m > threshold} e_m`` of every prefix of the float weights ``w``.
-
-    ``1 - sum_{m <= threshold}`` would cancel for tiny tails, so the rows
-    above the threshold are added directly, until none of them changes any
-    sum: the coefficients are log-concave, so what is left is below rounding.
-    """
-    rows = _truncated_product(w, w.size)
-    sums = 0 * next(rows)
-    for m, row in enumerate(rows, start=1):
-        if m > threshold:
-            grown = sums + row
-            if np.array_equal(grown, sums):
-                break
-            sums = grown
-    return sums
-
-
 def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> LevelDistribution:
     """Distribution of node ``i``'s level, truncated at ``kmax``.
 
@@ -318,40 +299,71 @@ def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
     return _truncated_total(1, n, object if exact else float, k)[k]
 
 
-def _degree_law_sum(i: int, n: int, threshold: float, upper: bool, block: int = _TAIL_BLOCK):
+def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
+                     exact: Union[bool, None] = None, block: int = _TAIL_BLOCK) -> np.ndarray:
     """``(i/n) sum e_m(1/i, .., 1/(n-1))`` over ``m > threshold`` if ``upper``,
-    else over ``m <= threshold``; ``block`` weights are carried at a time."""
-    i = int(i)
-    n = int(n)
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    exact = n <= RATIONAL_DP_MAX_NODES
-    if threshold < 0 or threshold >= n - i:  # X takes the values 0..n-i
-        head = Fraction(threshold >= 0) if exact else float(threshold >= 0)
-        return 1 - head if upper else head
+    else over ``m <= threshold``, for each ``i`` of the ascending ``indices``
+    (a list, an int array or a ``range`` in ``1..n``), read at position ``n - i``
+    of the rows of one descending pass over the weights, made and carried
+    ``block`` at a time: memory is one block plus O(1) per node, and the work,
+    longest span x rows, is guarded before any allocation.  ``exact=None``
+    means rationals, in one block, for ``n <= 64``; float heads use long double.
+    """
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
+    exact = n <= RATIONAL_DP_MAX_NODES if exact is None else exact
+    head = Fraction(threshold >= 0) if exact else float(threshold >= 0)  # X is in 0..n-i
+    at_once = 1 - head if upper else head
+    span = n - int(indices[0])  # the longest
+    if threshold < 0 or threshold >= span:
+        return np.full(len(indices), at_once, dtype=type(at_once))
     order = top = math.floor(threshold)
     if upper:  # the last term the tail needs: e_{m+1} <= s e_m / (m+1) for any
         # s >= e_1 (e_1 e_m counts each monomial of e_{m+1} m+1 times), so from
         # a term e_{m0} of the sum, the terms past 2s whose ratio product is
         # below 2^-60 add up to under 2^-60 e_{m0}, below rounding
-        s = 1 / i + math.log((n - 1) / i)  # >= e_1 and <= (n - i) / i, so m0 <= n - i
+        s = 1 / (n - span) + math.log((n - 1) / (n - span))  # >= every e_1, <= span / i
         top, ratio = max(order + 1, math.ceil(s)), 1.0
-        while top < n - i and (top < 2 * s or ratio > 2.0**-60):
+        while top < span and (top < 2 * s or ratio > 2.0**-60):
             top += 1
             ratio *= s / top
-    if (n - i) * (top + 1) > DEGREE_TAIL_MAX_WORK:
+    if span * (top + 1) > DEGREE_TAIL_MAX_WORK:  # before anything is allocated
         raise ResourceGuardError(f"degree tails are guarded to (n - i) x rows <= "
-                                 f"{DEGREE_TAIL_MAX_WORK:.0e}, got {n - i} x {top + 1}")
-    if exact or not upper:  # a head; in rationals its complement loses nothing
-        e = _truncated_total(i, n, object if exact else np.longdouble, order, block)
-        head = Fraction(i, n) * sum(e) if exact else float(sum(e) * i / n)
-        return 1 - head if upper else head
-    total = 0.0  # the terms themselves, as 1 - head cancels for tiny tails
-    for c in _truncated_total(i, n, float, top, block)[order + 1:]:
-        if total + c == total:  # log-concave: the rest is below rounding
-            break
-        total += c
-    return total * i / n
+                                 f"{DEGREE_TAIL_MAX_WORK:.0e}, got {span} x {top + 1}")
+    heads = exact or not upper  # in rationals a tail is the head's exact complement
+    dtype = object if exact else np.longdouble if heads else float
+    idx = (np.arange(indices.start, indices.stop, indices.step)  # asarray walks a range
+           if isinstance(indices, range) else np.asarray(indices))
+    idx = idx[: np.searchsorted(idx, n - threshold)]  # those with threshold < n - i
+    sums, carry = np.zeros(idx.size, dtype=dtype), None
+    block = span if exact else block  # rationals share one scale; float rows carry at 1.0
+    for b0 in range(0, span, block):  # weights 1/(n-1-b0) down to 1/(n-b1)
+        b1 = min(b0 + block, span)
+        w, scale = _weights(n - b1, n - b0, dtype)
+        here = slice(*np.searchsorted(idx, (n - b1, n - b0)))  # positions b0+1..b1
+        at = n - b0 - idx[here]
+        if at.size and at[0] - at[-1] == at.size - 1:  # a run of positions: read a view
+            at = slice(at[0], at[-1] - 1, -1)
+        rows = _truncated_product(w[::-1], order if heads else top, carry)
+        carry, part = [], sums[here]
+        for m, row in enumerate(rows):
+            carry.append(row[-1])
+            if (m <= order) == heads:  # exact row m carries scale**m: sum by Horner
+                grown = part * scale + row[at] if exact else part + row[at]
+                if b1 == span and not heads and not np.count_nonzero(grown != part):
+                    break  # log-concave: the rest of the tail is below rounding
+                part = grown
+        sums[here] = part
+    sums = sums * idx * Fraction(1, n * scale**order) if exact else sums * idx / n
+    out = np.full(len(indices), at_once, dtype=type(at_once))  # last: 3 length-n arrays at most
+    out[: idx.size] = 1 - sums if exact and upper else sums
+    return out
+
+
+def _degree_law(i: int, n: int, threshold: float, upper: bool):
+    if not 1 <= int(i) < int(n):
+        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
+    return _degree_law_sums(int(n), [int(i)], threshold, upper).tolist()[0]
 
 
 def degree_head(i: int, n: int, threshold: float):
@@ -360,11 +372,11 @@ def degree_head(i: int, n: int, threshold: float):
     ``(i/n) sum_{m <= threshold} e_m(1/i, .., 1/(n-1))``: a sum of positive
     coefficients, so a small head keeps its relative accuracy, where
     ``1 - degree_tail`` would cancel.  Rational for ``n <= 64``, float
-    beyond; any span, guarded like :func:`degree_tail`.  The float passes
+    beyond; any span, in the pass and guard of :func:`degree_tail`.  The float passes
     run in long double (64-bit mantissa on x86-64): at ``n - i = 10^6`` the
     result stays within half a unit in the last place of 50-digit mpmath values.
     """
-    return _degree_law_sum(i, n, threshold, upper=False)
+    return _degree_law(i, n, threshold, upper=False)
 
 
 def degree_tail(i: int, n: int, threshold: float):
@@ -377,14 +389,14 @@ def degree_tail(i: int, n: int, threshold: float):
 
     ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``; rational arithmetic for
     ``n <= 64``, double precision beyond: within 7e-15 relative of 50-digit
-    mpmath values at ``n - i = 10^6``.  Any span: the weights are carried in
-    blocks of 2^14.  A threshold below 0 or at least ``n - i`` gives the
-    exact 1 or 0 at once; otherwise the work, ``n - i`` times the rows read
-    (``threshold + 1`` for the head, about ``threshold + 40`` for the tail),
-    is guarded to :data:`DEGREE_TAIL_MAX_WORK`: 0.5 s at 5 ns per weight and
-    row (2 s in the head's long double) on a 2-vCPU x86-64 host.
+    mpmath values at ``n - i = 10^6``.  Any span, in one pass of
+    :func:`_degree_law_sums`.  A threshold below 0 or at least ``n - i``
+    gives the exact 1 or 0 at once; otherwise the work, ``n - i`` times the
+    rows read (``threshold + 1`` for the head, about ``threshold + 40`` for
+    the tail), is guarded to :data:`DEGREE_TAIL_MAX_WORK`: 0.5 s at 5 ns per
+    weight and row (2 s in the head's long double) on a 2-vCPU x86-64 host.
     """
-    return _degree_law_sum(i, n, threshold, upper=True)
+    return _degree_law(i, n, threshold, upper=True)
 
 
 def child_count_tails(n: int, threshold: float) -> np.ndarray:
@@ -392,20 +404,14 @@ def child_count_tails(n: int, threshold: float) -> np.ndarray:
 
     ``X_i = sum_{j=i+1}^{n-1} Bernoulli(1/j)`` is the child count of node
     ``i`` in an ``n``-node tree; ``P(X_i = m) = (i/(n-1)) e_m(1/i, ..,
-    1/(n-2))``.  The suffixes are the prefixes of the reversed weights, so
-    one pass per coefficient serves every node; double precision.
+    1/(n-2))``.  One pass of :func:`_degree_law_sums` serves every node in
+    double precision; it holds three length-``n`` arrays besides one block
+    of weights and is guarded like :func:`degree_tail`.
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n - 2 > TAIL_SWEEP_MAX_SPAN:
-        raise ResourceGuardError(
-            f"tail sweep is guarded to n <= {TAIL_SWEEP_MAX_SPAN + 2}, got {n}"
-        )
-    if threshold < 0:
-        return np.ones(n - 1)
-    w, _ = _weights(1, n - 1, float)
-    return _upper_sums(w[::-1], threshold)[::-1] * np.arange(1, n) / (n - 1)
+    return _degree_law_sums(n - 1, range(1, n), threshold, upper=True, exact=False)
 
 
 def node_level_probabilities(n: int, k: int) -> np.ndarray:

@@ -254,6 +254,12 @@ def test_growth_past_physical_memory_exits_2_before_allocating(capsys, monkeypat
     assert peak < 2**20
 
 
+def test_bounds_rejects_a_nan_threshold(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--i", "1", "--n", "3", "--a", "nan")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "threshold must be a number" in err
+
+
 def test_bounds_domain_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "bounds", "--n", "100", "--t", "0.5", "--eps", "0.9")
     assert code == 1
@@ -326,6 +332,29 @@ def test_experiment_refuses_a_model_it_does_not_grow(capsys):
                                  "--workers", "1")
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "grows uniform trees only" in err
+
+
+@pytest.mark.parametrize("n", ["500", "20000"])
+def test_level_exceedance_refuses_levels_below_one_before_simulating(capsys, monkeypatch, n):
+    """At n <= 10^4 the oracle would refuse k < 1 only after the replications;
+    past it nothing would, and a k = -1 row would be written."""
+    calls = []
+    monkeypatch.setattr(experiments, "_kernel_level_exceedance",
+                        lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "experiment", "level_exceedance", "--n", n, "--k=-1,0",
+                             "--reps", "4", "--seed", "1", "--workers", "1")
+    assert code == 1 and out == "" and calls == []
+    assert err.count("error:") == 1 and "levels k >= 1" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_experiment_rejects_a_non_finite_eps_up_front(capsys, monkeypatch, eps):
+    calls = []
+    monkeypatch.setattr(experiments, "_degree_law_sums", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "experiment", "tail_vs_bound", "--n", "500", "--reps", "2",
+                             "--seed", "1", "--eps", eps, "--workers", "1")
+    assert code == 1 and out == "" and calls == []
+    assert err.count("error:") == 1 and "eps must be finite" in err
 
 
 def test_experiment_invalid_grid(capsys):

@@ -7,11 +7,14 @@ rows on both sides of n - i = 10^4, where the tails span more than one
 block of weights, and note rows.  A change to the driver, the kernels, the
 growth primitives or the exact tails that moves one row changes its
 digest; the n = 500 rows of ``tail_vs_bound`` carry a digest of their own.
-``tail_vs_bound`` simulates nothing, so it opens no pool at any n.
+``tail_vs_bound`` simulates nothing, so it opens no pool at any n, and it
+reads all the nodes of one (n, t, side) from one pass of the oracle's
+degree-law engine.
 """
 
 import hashlib
 import json
+import math
 import multiprocessing.pool
 
 import pytest
@@ -53,7 +56,7 @@ PINNED = {
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",
     "max_degree": "052a9c0ce7f1cebfa166f20276b092c6633cd9efee838a96b047d817180cc50a",
     "higher_level_small_degree": "02b021742ef5b6321632a678d27f06d650f218c2350596e7d116078da28095d2",
-    "tail_vs_bound": "3f76237e3c7319f1ea5c483b1c988ff80a509966eda85a0b373e3943670ea9d3",
+    "tail_vs_bound": "72c885d62b8b49beb93902b1bbf94c84959902a8840d9fbf59a91426c1620442",
 }
 
 
@@ -68,7 +71,7 @@ def test_rows_are_pinned_for_one_and_two_workers(case):
     assert one.canonical_bytes() == two.canonical_bytes()
 
 
-TAIL_VS_BOUND_N500 = "210c6bb613feebef81b57760c4887b7a0f5fcdd613a19f3c29ec1f185bdfaaad"
+TAIL_VS_BOUND_N500 = "72a78018e0cc179c64d0eece8c037d6e74f412d8239291bf08e4276ec152f9f0"
 
 
 def test_tail_vs_bound_matrix_has_exact_and_note_rows():
@@ -80,6 +83,27 @@ def test_tail_vs_bound_matrix_has_exact_and_note_rows():
     assert any("note" in row for row in rep.rows)
     rows500 = [row for row in rep.rows if row["point"]["n"] == 500]
     assert hashlib.sha256(json.dumps(rows500).encode()).hexdigest() == TAIL_VS_BOUND_N500
+
+
+def test_tail_vs_bound_makes_one_engine_call_per_case(monkeypatch):
+    """One pass per (n, t, side) that is not a note row, whatever its node count."""
+    calls = []
+    engine = experiments._degree_law_sums
+
+    def counting(n, indices, threshold, upper, **kwargs):
+        calls.append((n, threshold, upper, len(indices)))
+        return engine(n, indices, threshold, upper, **kwargs)
+
+    monkeypatch.setattr(experiments, "_degree_law_sums", counting)
+    rep = run_experiment(ExperimentConfig(**MATRIX["tail_vs_bound"], workers=1))
+    cases = {}
+    for row in rep.rows:
+        if "note" not in row:
+            p = row["point"]
+            key = (p["n"], p["t"] * math.log(p["n"]), p["side"] == "upper")
+            cases[key] = cases.get(key, 0) + 1
+    assert calls == [(*key, count) for key, count in cases.items()]
+    assert max(count for _, _, _, count in calls) > 1
 
 
 def test_a_run_opens_at_most_one_pool(monkeypatch):

@@ -148,6 +148,8 @@ def test_degree_tail_guard_and_domain():
                                      (degree_head, 5, 10**12, 1e6)):
             with pytest.raises(ResourceGuardError, match="degree tails are guarded"):
                 law(i, n, threshold)
+        with pytest.raises(ResourceGuardError, match="degree tails are guarded"):
+            child_count_tails(10**8, 3.0)  # every node at once, 10^8 weights
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -188,6 +190,43 @@ def test_child_count_tails_match_degree_tail():
         # node i of an n-node tree collects children during steps i+1..n-1
         assert tails[i - 1] == pytest.approx(float(degree_tail(i, n - 1, threshold)), abs=1e-13)
     assert tails[n - 2] == 0.0  # the last node never gains children
+
+
+def test_one_pass_over_several_nodes_equals_their_single_node_calls():
+    """The engine reads every node from one descending pass, within one block
+    of weights and across 13 blocks of 800; a node whose support excludes
+    the threshold, and the node i = n, are answered at once."""
+    n = 10001
+    indices = [1, 2, 7, 800, 801, 1600, 3333, 9000, 9990, 9995, 10000, n]
+    for threshold in (0, 2.5, 6.4, 12):
+        for upper, law in ((True, degree_tail), (False, degree_head)):
+            one = [law(i, n, threshold) for i in indices[:-1]] + [float(not upper)]
+            many = oracle._degree_law_sums(n, indices, threshold, upper)
+            assert many.tolist() == pytest.approx(one, rel=1e-15, abs=0), threshold
+            # blocks change the summation order, so compare passes in the same blocks
+            one = [oracle._degree_law_sums(n, [i], threshold, upper, block=800)[0] for i in indices]
+            many = oracle._degree_law_sums(n, indices, threshold, upper, block=800)
+            assert many.tolist() == pytest.approx(one, rel=1e-15, abs=0), threshold
+    n = 60  # rationals
+    for threshold in (0, 2.5, 7):
+        for upper, law in ((True, degree_tail), (False, degree_head)):
+            many = oracle._degree_law_sums(n, range(1, n), threshold, upper)
+            assert many.tolist() == [law(i, n, threshold) for i in range(1, n)]
+
+
+def test_child_count_tails_past_ten_thousand_nodes():
+    """All 10^6 nodes in one pass, in block memory beside three length-n arrays."""
+    n = 10**6 + 1
+    threshold = 0.5 * math.log(n) - 1
+    tracemalloc.start()
+    try:
+        tails = child_count_tails(n, threshold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    for i in (1, 1000, 123_456, 999_990):
+        assert tails[i - 1] == pytest.approx(float(degree_tail(i, n - 1, threshold)), rel=1e-15)
 
 
 def test_node_level_probabilities_match_level_pmf():
@@ -340,7 +379,7 @@ def test_tiny_tails_keep_their_relative_accuracy():
     i, n = 7500, 10001
     exact = 1 - Fraction(i, n) * Fraction(sum(_rising_coefficients(i, n, c)), math.prod(range(i, n)))
     assert 0 < exact < 1e-12
-    tail = oracle._degree_law_sum(i, n, c, upper=True, block=800)
+    tail = oracle._degree_law_sums(n, [i], c, upper=True, block=800)[0]
     assert tail == pytest.approx(float(exact), rel=1e-12)
 
 
@@ -364,19 +403,19 @@ def test_float_degree_head_against_rational_evaluation():
             coef = _rising_coefficients(i, n, math.floor(min(a, n - i)))
             exact = Fraction(i, n) * Fraction(sum(coef), prod)
             for head in (degree_head(i, n, a),
-                         oracle._degree_law_sum(i, n, a, upper=False, block=3000)):
+                         oracle._degree_law_sums(n, [i], a, upper=False, block=3000)[0]):
                 assert abs(Fraction(head) - exact) <= exact / 10**15, (i, a)
 
 
-# sha256 of the float64 bytes of the values below from the single-pass
-# engines: spans up to 10^4 fit one block of weights, which must leave
-# every one of them bit for bit
+# sha256 of the float64 bytes of the values below: spans up to 10^4 fit one
+# block of weights, so any change to how blocks are carried must leave every
+# one of them bit for bit
 SINGLE_BLOCK_SPANS = [(1, 100), (3, 200), (60, 65), (7, 2000), (999, 1000), (1, 10001),
                       (2, 10001), (3333, 10001), (9990, 10001)]
 SINGLE_BLOCK_THRESHOLDS = [-0.5, 0, 1, 2.5, 3.0, 4.6, 7.9, 12, 25, 40]
 SINGLE_BLOCK_DIGESTS = {
     "heads": "71b7da6974242acca63b2fb022c7742c68b8127a19a728c4ca7d452c9f48f62b",
-    "tails": "10638cc0c0ab9c57f615c0eb2d0e6e7c672f40a3afd3f3c988d67337e83c93ac",
+    "tails": "9183f3b79469c30dd46e373beece9271cc42bcf57fac4b472967c79e53798d57",
     "sweeps": "3200727b2427d9218fdc1fcecf26fb6aa71e7a352df114b3445facd080272510",
 }
 
