@@ -32,11 +32,9 @@ from .moments import (
     ExponentVector,
     IdentityCheck,
     MomentTable,
-    Rational,
     check_falling_factorial_identities,
     dependency_closure,
     exact_factorial_moment,
-    factorial_moment_float,
     factorial_moments_float,
     falling_factorial,
     majorizes,
@@ -91,7 +89,6 @@ __all__ = [
     "MomentTable",
     "NotInImageError",
     "Permutation",
-    "Rational",
     "RecursiveTree",
     "ResourceGuardError",
     "check_falling_factorial_identities",
@@ -110,7 +107,6 @@ __all__ = [
     "expected_children",
     "expected_exceedance_count",
     "expected_level_size",
-    "factorial_moment_float",
     "factorial_moments_float",
     "falling_factorial",
     "fixed_points_after_first",

@@ -18,18 +18,36 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .errors import ResourceGuardError
+
+# terms of one expected_children sum: 5 ms per 10^6 terms, 0.5 s at this span (2 vCPU)
+EXPECTED_CHILDREN_MAX_SPAN = 10**8
+_SUM_BLOCK = 1 << 16  # terms per block of that sum
+
 
 def expected_children(i: int, n: int) -> float:
     """``s = 1/(i+1) + .. + 1/n``: expected attachments node ``i`` gains.
 
-    Satisfies ``log(n/(i+1)) <= s <= log(n/i)``.
+    Satisfies ``log(n/(i+1)) <= s <= log(n/i)``.  The ``n - i`` terms are
+    guarded to :data:`EXPECTED_CHILDREN_MAX_SPAN`.
     """
     i = int(i)
     n = int(n)
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    # summed upward: ascending magnitude keeps the float error ~1 ulp
-    return float(sum(1.0 / j for j in range(n, i, -1)))
+    if n - i > EXPECTED_CHILDREN_MAX_SPAN:
+        raise ResourceGuardError(f"expected children are guarded to n - i <= "
+                                 f"{EXPECTED_CHILDREN_MAX_SPAN:.0e} terms, got {n - i}")
+    # summed upward: ascending magnitude keeps the float error ~1 ulp; cumsum adds
+    # in sequence, so carrying the partial sum into each block gives a plain loop's bits
+    total = 0.0
+    for hi in range(n, i, -_SUM_BLOCK):
+        terms = 1.0 / np.arange(hi, max(hi - _SUM_BLOCK, i), -1, dtype=float)
+        terms[0] += total
+        total = float(terms.cumsum()[-1])
+    return total
 
 
 def upper_tail_bound(a: float, s: float) -> float:

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import sys
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -88,15 +90,11 @@ class ExperimentConfig:
             known = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
         object.__setattr__(self, "experiment", name)
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        if not self.n_grid:
-            raise ValueError("n grid must be nonempty")
-        if not self.k_grid:
-            raise ValueError("k grid must be nonempty")
-        if not self.t_grid:
-            raise ValueError("t grid must be nonempty")
+        for grid, kind in (("n_grid", int), ("k_grid", int), ("t_grid", float)):
+            values = tuple(kind(x) for x in getattr(self, grid))
+            if not values:
+                raise ValueError(f"{grid[0]} grid must be nonempty")
+            object.__setattr__(self, grid, values)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         check_seed(self.seed)
@@ -120,11 +118,7 @@ class ExperimentConfig:
             raise ValueError(f"eps must be finite, got {self.eps}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_grid"] = list(self.n_grid)
-        d["k_grid"] = list(self.k_grid)
-        d["t_grid"] = list(self.t_grid)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -168,20 +162,9 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         """Rows flattened to CSV; the first line carries schema and seed."""
-        columns: list[str] = []
-        flat_rows = []
-        for row in self.rows:
-            flat = {}
-            for key, value in row.items():
-                if key == "point":
-                    for pk, pv in value.items():
-                        flat[pk] = pv
-                else:
-                    flat[key] = value
-            for key in flat:
-                if key not in columns:
-                    columns.append(key)
-            flat_rows.append(flat)
+        flat_rows = [{**row["point"], **{k: v for k, v in row.items() if k != "point"}}
+                     for row in self.rows]
+        columns = list(dict.fromkeys(key for flat in flat_rows for key in flat))
         buf = io.StringIO()
         buf.write(f"# schema: {SCHEMA}, experiment: {self.experiment}, seed: {self.seed}\n")
         writer = csv.writer(buf)
@@ -242,7 +225,7 @@ def _run(config: ExperimentConfig, kernel: Optional[Callable], kernel_args: Opti
     ``kernel_args(n)`` is the kernel's first argument at ``n``;
     ``summarise(config, n, table)`` builds the rows at ``n`` from the
     per-replication table, which is ``None`` when there is no kernel and
-    nothing is simulated.
+    nothing is simulated.  Every row ends with the master seed, added here.
     """
     t0 = time.perf_counter()
     workers = resolve_workers(config.workers, config.replications)
@@ -256,7 +239,7 @@ def _run(config: ExperimentConfig, kernel: Optional[Callable], kernel_args: Opti
             table = None
             if kernel is not None:
                 table = _replicate(kernel, kernel_args(n), seeds, pool, workers)
-            rows.extend(summarise(config, n, table))
+            rows.extend({**row, "seed": config.seed} for row in summarise(config, n, table))
     echoed = ECHOED + READS[config.experiment]
     return ExperimentReport(
         experiment=config.experiment,
@@ -267,10 +250,16 @@ def _run(config: ExperimentConfig, kernel: Optional[Callable], kernel_args: Opti
     )
 
 
+def _row(point: dict, estimate, se=None, exact=None, limit=None, **extra) -> dict:
+    """One report row: the columns every row shares, in order, then its own;
+    a NaN estimate or SE reads None.  :func:`_run` adds the seed."""
+    return {"point": point, "estimate": _clean(estimate), "se": _clean(se), "exact": exact,
+            "limit": limit, **extra}
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, Optional[float]]:
     values = np.asarray(values, dtype=float)
-    mask = ~np.isnan(values)
-    used = values[mask]
+    used = values[~np.isnan(values)]
     if used.size == 0:
         return float("nan"), None
     mean = float(used.mean())
@@ -312,36 +301,21 @@ def _kernel_level_exceedance(cfg, seed):
 
 def _level_exceedance_rows(config, n, table):
     rows = []
-    col = 0
-    for k in config.k_grid:
-        for t in config.t_grid:
-            nums = table[:, col]
-            sizes = table[:, col + 1]
-            fracs = table[:, col + 2]
-            col += 3
-            frac_mean, frac_se = _mean_se(fracs)
-            num_mean, num_se = _mean_se(nums)
-            exact_numerator = None
-            exact_level_size = None
-            if n <= EXACT_NUMERATOR_MAX_N:
-                exact_numerator = float(oracle.expected_exceedance_count(n, k, t))
-                exact_level_size = float(oracle.expected_level_size(n, k, exact=False))
-            rows.append(
-                {
-                    "point": {"n": n, "k": k, "t": t},
-                    "estimate": _clean(frac_mean),
-                    "se": _clean(frac_se),
-                    "exact": None,  # the fraction has no closed-form finite-n expectation
-                    "limit": (1.0 - t) ** k,
-                    "numerator_mean": _clean(num_mean),
-                    "numerator_se": _clean(num_se),
-                    "exact_numerator": exact_numerator,
-                    "level_size_mean": _clean(np.mean(sizes)),
-                    "exact_level_size": exact_level_size,
-                    "replications_used": int(np.count_nonzero(~np.isnan(fracs))),
-                    "seed": config.seed,
-                }
-            )
+    for col, (k, t) in enumerate(itertools.product(config.k_grid, config.t_grid)):
+        nums, sizes, fracs = table[:, 3 * col : 3 * col + 3].T
+        frac_mean, frac_se = _mean_se(fracs)
+        num_mean, num_se = _mean_se(nums)
+        exact_numerator = exact_level_size = None
+        if n <= EXACT_NUMERATOR_MAX_N:
+            exact_numerator = float(oracle.expected_exceedance_count(n, k, t))
+            exact_level_size = float(oracle.expected_level_size(n, k, exact=False))
+        # the fraction has no closed-form finite-n expectation: exact stays None
+        rows.append(_row(
+            {"n": n, "k": k, "t": t}, frac_mean, frac_se, limit=(1.0 - t) ** k,
+            numerator_mean=_clean(num_mean), numerator_se=_clean(num_se),
+            exact_numerator=exact_numerator, level_size_mean=_clean(np.mean(sizes)),
+            exact_level_size=exact_level_size,
+            replications_used=int(np.count_nonzero(~np.isnan(fracs)))))
     return rows
 
 
@@ -383,25 +357,16 @@ def total_variation_to_poisson1(values: np.ndarray) -> float:
 
 
 def _moment_vectors(d_max: int, max_total: int = 3) -> list[ExponentVector]:
-    vecs = set()
     span = min(d_max, max_total)
-    def rec(prefix, remaining):
-        if len(prefix) == span:
-            if sum(prefix) >= 1:
-                vecs.add(ExponentVector(tuple(prefix)))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-    rec([], max_total)
+    vecs = {ExponentVector(k) for k in itertools.product(range(max_total + 1), repeat=span)
+            if 1 <= sum(k) <= max_total}
     return sorted(vecs, key=lambda v: (v.total, v.d, v.k))
 
 
 def _first_level_degrees_rows(config, n, table):
     table = table.astype(np.int64)
     exact_mode = "rational" if n <= EXACT_MOMENT_MAX_N else "float-recursion"
-    unit_vectors = [
-        ExponentVector((0,) * (d - 1) + (1,)) for d in range(1, config.d_max + 1)
-    ]
+    unit_vectors = [ExponentVector((0,) * (d - 1) + (1,)) for d in range(1, config.d_max + 1)]
     wanted = unit_vectors + _moment_vectors(config.d_max)
     if n <= EXACT_MOMENT_MAX_N:
         moment_table = MomentTable.for_targets(wanted, [n])
@@ -412,28 +377,11 @@ def _first_level_degrees_rows(config, n, table):
     rows = []
     for d in range(1, config.d_max + 1):
         mean, se = _mean_se(table[:, d - 1])
-        rows.append(
-            {
-                "point": {"n": n, "d": d, "kind": "mean_count"},
-                "estimate": _clean(mean),
-                "se": _clean(se),
-                "exact": references[unit_vectors[d - 1]],
-                "limit": 1.0,
-                "exact_mode": exact_mode,
-                "seed": config.seed,
-            }
-        )
+        rows.append(_row({"n": n, "d": d, "kind": "mean_count"}, mean, se,
+                         references[unit_vectors[d - 1]], 1.0, exact_mode=exact_mode))
     for d in range(1, config.d_max + 1):
-        rows.append(
-            {
-                "point": {"n": n, "d": d, "kind": "tv_poisson1"},
-                "estimate": total_variation_to_poisson1(table[:, d - 1]),
-                "se": None,
-                "exact": None,
-                "limit": 0.0,
-                "seed": config.seed,
-            }
-        )
+        rows.append(_row({"n": n, "d": d, "kind": "tv_poisson1"},
+                         total_variation_to_poisson1(table[:, d - 1]), limit=0.0))
     for d1 in range(1, config.d_max + 1):
         for d2 in range(d1 + 1, config.d_max + 1):
             a = table[:, d1 - 1].astype(float)
@@ -441,16 +389,7 @@ def _first_level_degrees_rows(config, n, table):
             corr = float("nan")
             if a.std() > 0 and b.std() > 0:
                 corr = float(np.corrcoef(a, b)[0, 1])
-            rows.append(
-                {
-                    "point": {"n": n, "d1": d1, "d2": d2, "kind": "correlation"},
-                    "estimate": _clean(corr),
-                    "se": None,
-                    "exact": None,
-                    "limit": 0.0,
-                    "seed": config.seed,
-                }
-            )
+            rows.append(_row({"n": n, "d1": d1, "d2": d2, "kind": "correlation"}, corr, limit=0.0))
     for vec in _moment_vectors(config.d_max):
         prods = np.ones(table.shape[0], dtype=np.int64)
         for d, kd in enumerate(vec.k, start=1):
@@ -458,17 +397,8 @@ def _first_level_degrees_rows(config, n, table):
             for step in range(kd):
                 prods = prods * (x - step)
         mean, se = _mean_se(prods.astype(float))
-        rows.append(
-            {
-                "point": {"n": n, "k_vector": str(vec), "kind": "factorial_moment"},
-                "estimate": _clean(mean),
-                "se": _clean(se),
-                "exact": references[vec],
-                "limit": 1.0,
-                "exact_mode": exact_mode,
-                "seed": config.seed,
-            }
-        )
+        rows.append(_row({"n": n, "k_vector": str(vec), "kind": "factorial_moment"},
+                         mean, se, references[vec], 1.0, exact_mode=exact_mode))
     return rows
 
 
@@ -508,16 +438,8 @@ def _degree_distribution_rows(config, n, table):
     rows = []
     for d in range(1, config.d_max + 1):
         mean, se = _mean_se(table[:, d - 1])
-        rows.append(
-            {
-                "point": {"model": config.model, "n": n, "d": d},
-                "estimate": _clean(mean),
-                "se": _clean(se),
-                "exact": None,
-                "limit": degree_fraction_limit(config.model, d),
-                "seed": config.seed,
-            }
-        )
+        rows.append(_row({"model": config.model, "n": n, "d": d}, mean, se,
+                         limit=degree_fraction_limit(config.model, d)))
     return rows
 
 
@@ -536,31 +458,39 @@ def _kernel_level_sizes(cfg, seed):
     return tuple(float(sizes[k]) if k < sizes.size else 0.0 for k in ks)
 
 
+def _level_scale(n: int, k: int) -> float:
+    """``(ln n)^k / k!``, the order of ``E|L_n(k)|``; a ``ValueError`` where
+    that is no normal double, so no ratio to it can be formed."""
+    try:  # k! passes the largest double from k = 171 on
+        scale = math.log(n) ** k / math.factorial(k) if k <= 170 else 0.0
+    except OverflowError:
+        scale = 0.0
+    if scale < sys.float_info.min:
+        raise ValueError(f"level k={k} at n={n}: (ln n)^k/k! does not fit a normal double, "
+                         "so no ratio to it can be formed")
+    return scale
+
+
 def _level_sizes_rows(config, n, table):
     rows = []
     for idx, k in enumerate(config.k_grid):
         mean, se = _mean_se(table[:, idx])
         exact = float(oracle.expected_level_size(n, k, exact=False))
-        scale = math.log(n) ** k / math.factorial(k) if k > 0 else 1.0
-        rows.append(
-            {
-                "point": {"n": n, "k": k},
-                "estimate": _clean(mean),
-                "se": _clean(se),
-                "exact": exact,
-                "limit": 1.0,
-                "scale": scale,
-                "ratio_mc": _clean(mean / scale),
-                "ratio_exact": exact / scale,
-                "exact_mode": "float",
-                "seed": config.seed,
-            }
-        )
+        scale = _level_scale(n, k)
+        rows.append(_row({"n": n, "k": k}, mean, se, exact, 1.0, scale=scale,
+                         ratio_mc=_clean(mean / scale), ratio_exact=exact / scale,
+                         exact_mode="float"))
     return rows
 
 
 def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
-    """Mean level sizes with exact expectations and the (ln n)^k/k! ratio."""
+    """Mean level sizes with exact expectations and the (ln n)^k/k! ratio.
+
+    Levels whose (ln n)^k/k! is no normal double are refused before
+    anything is simulated.
+    """
+    for n, k in itertools.product(config.n_grid, config.k_grid):
+        _level_scale(n, k)
     return _run(config, _kernel_level_sizes, lambda n: (n, config.k_grid), _level_sizes_rows)
 
 
@@ -577,21 +507,10 @@ def _max_degree_rows(config, n, table):
     ratios = table[:, 0] / log2n
     mean, se = _mean_se(ratios)
     harmonic = sum(1.0 / j for j in range(1, n + 1))
-    return [
-        {
-            "point": {"n": n},
-            "estimate": _clean(np.median(ratios)),
-            "se": _clean(se),
-            "exact": None,
-            "limit": 1.0,
-            "mean_ratio": _clean(mean),
-            "min_ratio": _clean(ratios.min()),
-            "q10_ratio": _clean(np.quantile(ratios, 0.10)),
-            "q90_ratio": _clean(np.quantile(ratios, 0.90)),
-            "root_degree_sanity": harmonic / log2n,  # recorded, never asserted
-            "seed": config.seed,
-        }
-    ]
+    # root_degree_sanity is recorded, never asserted
+    return [_row({"n": n}, np.median(ratios), se, limit=1.0, mean_ratio=_clean(mean),
+                 min_ratio=_clean(ratios.min()), q10_ratio=_clean(np.quantile(ratios, 0.10)),
+                 q90_ratio=_clean(np.quantile(ratios, 0.90)), root_degree_sanity=harmonic / log2n)]
 
 
 def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
@@ -631,24 +550,11 @@ def _higher_level_rows(config, n, table):
             count_mean, count_se = _mean_se(table[:, base + d - 1])
             ratio = count_mean / size_km1_mean if size_km1_mean else float("nan")
             proportion = count_mean / size_k_mean if size_k_mean else float("nan")
-            rows.append(
-                {
-                    "point": {"n": n, "k": k, "d": d},
-                    "estimate": _clean(ratio),
-                    "se": None,
-                    "exact": None,
-                    "limit": 1.0,
-                    "count_mean": _clean(count_mean),
-                    "count_se": _clean(count_se),
-                    "level_km1_mean": size_km1_mean,
-                    "level_k_mean": size_k_mean,
-                    "proportion": _clean(proportion),
-                    "proportion_scaled": _clean(
-                        proportion * k * math.log(n) if size_k_mean else None
-                    ),
-                    "seed": config.seed,
-                }
-            )
+            rows.append(_row(
+                {"n": n, "k": k, "d": d}, ratio, limit=1.0, count_mean=_clean(count_mean),
+                count_se=_clean(count_se), level_km1_mean=size_km1_mean, level_k_mean=size_k_mean,
+                proportion=_clean(proportion),
+                proportion_scaled=_clean(proportion * k * math.log(n) if size_k_mean else None)))
     return rows
 
 
@@ -691,31 +597,19 @@ def _tail_vs_bound_rows(config, n, table):
             try:
                 bound = tail_bound(n, t, eps)
             except ValueError as exc:
-                rows.append({"point": point, "note": f"skipped: {exc}", "seed": config.seed})
+                rows.append({"point": point, "note": f"skipped: {exc}"})
                 continue
             indices = _admissible_indices(n, t, eps, side)
             if not indices:
-                rows.append({"point": point, "note": "skipped: no admissible node indices",
-                             "seed": config.seed})
+                rows.append({"point": point, "note": "skipped: no admissible node indices"})
                 continue
             # one pass serves every index; the lower side reads the head itself, not
             # 1 - tail, which cancels when small
             laws = _degree_law_sums(n, indices, t * math.log(n), upper=side == "upper")
             for i, tail in zip(indices, map(float, laws)):
-                rows.append(
-                    {
-                        "point": {**point, "i": i},
-                        "estimate": tail,
-                        "se": None,
-                        "exact": tail,
-                        "limit": None,
-                        "s": bnd.expected_children(i, n),
-                        "bound": bound,
-                        "margin": bound - tail,
-                        "mode": "exact",
-                        "seed": config.seed,
-                    }
-                )
+                rows.append(_row({**point, "i": i}, tail, exact=tail,
+                                 s=bnd.expected_children(i, n), bound=bound,
+                                 margin=bound - tail, mode="exact"))
     return rows
 
 

@@ -40,10 +40,14 @@ from .errors import ResourceGuardError
 EXACT_MOMENT_MAX_N = 4096  # experiments take rational references up to here
 # exact sweeps stop here: (1, 1, 1) takes 0.3 s at 4096 and 2.3 s at 10^4 (2 vCPU)
 EXACT_MOMENT_GUARD_N = 10_000
-
-# Exact probability/moment carrier used across the package.  The stdlib
-# Fraction already guarantees reduced form and a positive denominator.
-Rational = Fraction
+# an exact sweep's integers grow with n, so its cost goes as closure size x n^2:
+# a 462-vector closure took 1.0 s at n = 1000 and 4.0 s at 2000 (2 vCPU); the
+# work is guarded to what 25 vectors cost at EXACT_MOMENT_GUARD_N
+EXACT_MOMENT_MAX_WORK = 25 * EXACT_MOMENT_GUARD_N**2
+# the closure of (0,..,0,k) grows about 4x per unit of k, and the float sweep's
+# dense step matrix is its size squared in doubles: 8 MiB at this cap, which
+# admits every vector of d <= 3 and total <= 16 (969)
+MOMENT_CLOSURE_MAX = 1024
 
 VectorLike = Union["ExponentVector", Sequence[int]]
 
@@ -182,23 +186,33 @@ def dependency_closure(k: VectorLike) -> frozenset[ExponentVector]:
     """Smallest move-closed set containing ``k``.
 
     Finite because every move strictly lowers the weighted total
-    ``sum_j j * k_j``.
+    ``sum_j j * k_j``; guarded like every closure of :func:`_plan`.
     """
-    start = ExponentVector.of(k)
-    seen = {start}
-    stack = [start]
+    return frozenset(v for v, _, _ in _plan([ExponentVector.of(k)]))
+
+
+def _plan(targets: Iterable[ExponentVector]) -> list[tuple]:
+    """The recursion over the union of the targets' dependency closures.
+
+    One entry per closure vector, in sweep order: the vector, its total
+    ``K`` and its moves as ``(k_j, position of move_j(k))``.  The closure is
+    refused with :class:`ResourceGuardError` as soon as it passes
+    :data:`MOMENT_CLOSURE_MAX` vectors, before it holds more.
+    """
+    seen = set(targets)
+    stack = list(seen)
     while stack:
         for _, moved in stack.pop().moves():
             if moved not in seen:
                 seen.add(moved)
                 stack.append(moved)
-    return frozenset(seen)
-
-
-def _closure(targets: Iterable[ExponentVector]) -> list[ExponentVector]:
-    """The union of the targets' dependency closures, in sweep order."""
-    closure = set().union(*(dependency_closure(t) for t in targets))
-    return sorted(closure, key=lambda v: (v.d, v.k))
+                if len(seen) > MOMENT_CLOSURE_MAX:
+                    raise ResourceGuardError(f"moment closures are guarded to "
+                                             f"{MOMENT_CLOSURE_MAX} vectors, and this one has more")
+    vectors = sorted(seen, key=lambda v: (v.d, v.k))
+    index = {v: pos for pos, v in enumerate(vectors)}
+    return [(v, v.total, [(weight, index[moved]) for weight, moved in v.moves()])
+            for v in vectors]
 
 
 def _base_value(v: ExponentVector) -> int:
@@ -206,22 +220,18 @@ def _base_value(v: ExponentVector) -> int:
     return int(v.k[0] <= 1 and all(x == 0 for x in v.k[1:]))
 
 
-def _sweep(vectors: Iterable[ExponentVector], n_max: int, snapshots: set[int]):
-    """Run the recursion on ``H(n, k) = (n-1)! E(n, k)`` from n=2 to n_max,
-    dividing by ``(n-1)!`` only in the rows kept for ``snapshots``."""
-    vectors = sorted(set(vectors), key=lambda v: (v.d, v.k))
-    index = {v: pos for pos, v in enumerate(vectors)}
-    steps = [(v.total, [(weight, index[moved]) for weight, moved in v.moves()])
-             for v in vectors]
-    row = [_base_value(v) for v in vectors]
+def _sweep(plan, n_max: int, snapshots: set[int]):
+    """Run the recursion of ``plan`` on ``H(n, k) = (n-1)! E(n, k)`` from n=2
+    to n_max, dividing by ``(n-1)!`` only in the rows kept for ``snapshots``."""
+    row = [_base_value(v) for v, _, _ in plan]
     scale = 1  # (n-1)!
     kept = {}
     for n in range(2, n_max + 1):
         if n in snapshots:
-            kept[n] = {v: Fraction(h, scale) for v, h in zip(vectors, row)}
+            kept[n] = {v: Fraction(h, scale) for (v, _, _), h in zip(plan, row)}
         if n < n_max:
             row = [(n - total) * row[pos] + sum(weight * row[moved] for weight, moved in moves)
-                   for pos, (total, moves) in enumerate(steps)]
+                   for pos, (_, total, moves) in enumerate(plan)]
             scale *= n
     return kept
 
@@ -235,21 +245,19 @@ class MomentTable:
     """
 
     def __init__(self, target: VectorLike, n_values: Iterable[int]):
-        self._build([ExponentVector.of(target)], n_values)
-        self.target = ExponentVector.of(target)
+        self._build([target], n_values)
 
     @classmethod
     def for_targets(cls, targets: Iterable[VectorLike], n_values: Iterable[int]) -> "MomentTable":
         """One table covering several vectors; a single shared sweep."""
         table = cls.__new__(cls)
+        table._build(targets, n_values)
+        return table
+
+    def _build(self, targets: Iterable[VectorLike], n_values: Iterable[int]) -> None:
         vecs = [ExponentVector.of(t) for t in targets]
         if not vecs:
             raise ValueError("need at least one target vector")
-        table._build(vecs, n_values)
-        table.target = vecs[0]
-        return table
-
-    def _build(self, targets: list[ExponentVector], n_values: Iterable[int]) -> None:
         ns = sorted({int(n) for n in n_values})
         if not ns:
             raise ValueError("need at least one n value")
@@ -260,9 +268,15 @@ class MomentTable:
                 f"exact moments are guarded to n <= {EXACT_MOMENT_GUARD_N}, got n={ns[-1]}; "
                 "factorial_moments_float serves larger n"
             )
+        plan = _plan(vecs)
+        if len(plan) * ns[-1] ** 2 > EXACT_MOMENT_MAX_WORK:
+            raise ResourceGuardError(
+                f"exact moments are guarded to closure size x n^2 <= {EXACT_MOMENT_MAX_WORK:.1e}, "
+                f"got {len(plan)} x {ns[-1]}^2; factorial_moments_float serves it"
+            )
         self.n_values = ns
-        self.vectors = _closure(targets)
-        self._rows = _sweep(self.vectors, ns[-1], set(ns))
+        self.vectors = [v for v, _, _ in plan]
+        self._rows = _sweep(plan, ns[-1], set(ns))
 
     def value(self, n: int, k: VectorLike) -> Fraction:
         v = ExponentVector.of(k)
@@ -284,32 +298,14 @@ class MomentTable:
         for n, v, val in self.rows():
             writer.writerow([n, str(v), val.numerator, val.denominator])
 
-    def check_step_identity(self, n: int, k: VectorLike) -> bool:
-        """Exact rearranged one-step identity between rows ``n`` and ``n+1``:
-
-        ``(n)_K E(n+1,k) - (n-1)_K E(n,k) == (n-1)_{K-1} sum_j k_j E(n, move_j(k))``
-        """
-        v = ExponentVector.of(k)
-        K = v.total
-        lhs = falling_factorial(n, K) * self.value(n + 1, v) - falling_factorial(
-            n - 1, K
-        ) * self.value(n, v)
-        rhs = falling_factorial(n - 1, K - 1) * sum(
-            (weight * self.value(n, moved) for weight, moved in v.moves()),
-            start=Fraction(0),
-        )
-        return lhs == rhs
-
 
 def exact_factorial_moment(n: int, k: VectorLike) -> Fraction:
     """E(n, k) as an exact rational, for ``2 <= n <= EXACT_MOMENT_GUARD_N``.
 
-    The bit cost of the integer sweep grows as ``n^2``; use
-    :func:`factorial_moment_float` for large-``n`` reference values.
+    The bit cost of the integer sweep grows as ``n^2`` per closure vector,
+    which is guarded to :data:`EXACT_MOMENT_MAX_WORK`; use
+    :func:`factorial_moments_float` for large-``n`` reference values.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"moments are anchored at the n=2 tree; got n={n}")
     return MomentTable(k, [n]).value(n, k)
 
 
@@ -327,22 +323,14 @@ def factorial_moments_float(n: int, targets: Iterable[VectorLike]) -> dict[Expon
     if n < 2:
         raise ValueError(f"moments are anchored at the n=2 tree; got n={n}")
     wanted = [ExponentVector.of(t) for t in targets]
-    vectors = _closure(wanted)
-    index = {v: i for i, v in enumerate(vectors)}
-    size = len(vectors)
-    step = np.zeros((size, size))
-    for v in vectors:
-        i = index[v]
-        step[i, i] -= v.total
-        for weight, moved in v.moves():
-            step[i, index[moved]] += weight
-    row = np.array([float(_base_value(v)) for v in vectors])
+    plan = _plan(wanted)
+    step = np.zeros((len(plan), len(plan)))
+    for pos, (_, total, moves) in enumerate(plan):
+        step[pos, pos] -= total
+        for weight, moved in moves:
+            step[pos, moved] += weight
+    row = np.array([float(_base_value(v)) for v, _, _ in plan])
     for m in range(2, n):
         row += (step @ row) / m
+    index = {v: pos for pos, (v, _, _) in enumerate(plan)}
     return {t: float(row[index[t]]) for t in wanted}
-
-
-def factorial_moment_float(n: int, k: VectorLike) -> float:
-    """Double-precision evaluation of the recursion for one vector."""
-    target = ExponentVector.of(k)
-    return factorial_moments_float(n, [target])[target]

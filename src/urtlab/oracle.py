@@ -287,7 +287,8 @@ def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> LevelDistri
 def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
     """``E|L_n(k)| = e_k(1, 1/2, .., 1/(n-1))``, the expected size of level ``k``.
 
-    Rational for ``n <= 64`` unless ``exact`` says otherwise.
+    Rational for ``n <= 64`` unless ``exact`` says otherwise; an exact 0 at
+    once for ``k >= n``, where no node can be.
     """
     n = int(n)
     if n < 1:
@@ -296,6 +297,8 @@ def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
         raise ValueError(f"level must be nonnegative, got {k}")
     if exact is None:
         exact = n <= RATIONAL_DP_MAX_NODES
+    if k >= n:
+        return Fraction(0) if exact else 0.0
     return _truncated_total(1, n, object if exact else float, k)[k]
 
 
@@ -415,12 +418,15 @@ def child_count_tails(n: int, threshold: float) -> np.ndarray:
 
 
 def node_level_probabilities(n: int, k: int) -> np.ndarray:
-    """``P(level(i) = k)`` for every node ``i = 1..n-1``; double precision."""
+    """``P(level(i) = k)`` for every node ``i = 1..n-1``; double precision,
+    and exact zeros at once for ``k >= n``, past every node's level."""
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if k < 1:
         raise ValueError(f"level must be >= 1 for non-root nodes, got {k}")
+    if k >= n:
+        return np.zeros(n - 1)
     *_, row = _truncated_product(_weights(1, n - 1, float)[0], k - 1)
     return row / np.arange(1, n)
 

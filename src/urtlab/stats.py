@@ -7,7 +7,6 @@ mutate the tree, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,9 +34,6 @@ class LevelDegreeProfile:
             "level_size": self.level_size,
             "counts": {str(d): c for d, c in sorted(self.counts.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def level_sizes(tree: RecursiveTree) -> np.ndarray:

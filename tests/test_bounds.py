@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from urtlab import bounds
 from urtlab import (
+    ResourceGuardError,
     chernoff_upper_raw,
     degree_head,
     degree_tail,
@@ -23,6 +26,32 @@ def test_expected_children_values():
         expected_children(11, 10)
     with pytest.raises(ValueError):
         expected_children(0, 10)
+
+
+def test_expected_children_equals_the_left_to_right_sum_across_blocks(monkeypatch):
+    """Blocked cumsums carry the partial sum, so every span, within one block
+    or across many, gives the bits of adding 1/n, 1/(n-1), .. in order."""
+    def plain(i, n):
+        total = 0.0
+        for j in range(n, i, -1):
+            total += 1.0 / j
+        return total
+
+    cases = [(i, n) for n in (1, 2, 65_535, 65_536, 65_537, 200_003)
+             for i in sorted({1, 2, n // 3 or 1, n - 65_536, n - 1, n}) if 1 <= i <= n]
+    for i, n in cases:
+        assert expected_children(i, n) == plain(i, n), (i, n)
+    monkeypatch.setattr(bounds, "_SUM_BLOCK", 7)
+    for i, n in [(1, 1), (1, 8), (1, 9), (3, 1000), (1, 5003), (2500, 5003)]:
+        assert expected_children(i, n) == plain(i, n), (i, n)
+
+
+def test_expected_children_span_guard():
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="guarded to n - i <= 1e"):
+        expected_children(1, 10**12)
+    assert time.perf_counter() - start < 0.1
+    assert expected_children(10**12 - 5, 10**12) == pytest.approx(5e-12)
 
 
 def test_expected_children_log_bracket():

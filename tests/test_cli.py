@@ -160,6 +160,24 @@ def test_moments_beyond_the_exact_guard_exits_2(capsys):
     assert code == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("k, guard", [
+    ("0,0,0,0,6", "closure size x n^2"),  # 462 vectors: 1.0 s at n = 1000, 4.0 s at 2000
+    (",".join(["0"] * 14 + ["14"]), "guarded to 1024 vectors"),  # about 10^8 vectors
+])
+def test_moments_closure_guards_exit_2_at_once(capsys, k, guard):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "moments", "--n", "10000" if "6" in k else "100", "--k", k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and guard in err and "Traceback" not in err
+    assert peak < 2 * 2**20
+
+
 def test_enumerate_rejects_parameters_the_statistic_does_not_take(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--statistic", "max_degree",
                              "--k", "1")
@@ -254,6 +272,15 @@ def test_growth_past_physical_memory_exits_2_before_allocating(capsys, monkeypat
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("work", [("--a", "3"), ("--t", "0.5", "--eps", "0.1")])
+def test_bounds_expected_children_past_its_span_guard_exits_2(capsys, work):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--i", "1", "--n", "1000000000000", *work)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "expected children are guarded" in err
+
+
 def test_bounds_rejects_a_nan_threshold(capsys):
     code, out, err = run_cli(capsys, "bounds", "--i", "1", "--n", "3", "--a", "nan")
     assert code == 1 and out == ""
@@ -345,6 +372,33 @@ def test_level_exceedance_refuses_levels_below_one_before_simulating(capsys, mon
                              "--reps", "4", "--seed", "1", "--workers", "1")
     assert code == 1 and out == "" and calls == []
     assert err.count("error:") == 1 and "levels k >= 1" in err
+
+
+def test_level_exceedance_past_the_support_reports_at_once(capsys):
+    """No node of a 100-node tree is at level 10^8: the exact columns are 0."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "experiment", "level_exceedance", "--n", "100",
+                             "--k", "100000000", "--reps", "2", "--seed", "1", "--workers", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "error" not in err
+    (row,) = json.loads(out)["rows"]
+    assert row["exact_numerator"] == 0.0 and row["exact_level_size"] == 0.0
+    assert row["replications_used"] == 0
+
+
+@pytest.mark.parametrize("n, k", [("100", "100000000"), ("1000", "500"), ("1000", "2,171")])
+def test_level_sizes_refuses_a_level_without_a_double_scale(capsys, monkeypatch, n, k):
+    """(ln n)^k/k! underflows, or k! overflows a double from k = 171 on:
+    refused before anything is simulated."""
+    calls = []
+    monkeypatch.setattr(experiments, "_kernel_level_sizes", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "experiment", "level_sizes", "--n", n, "--k", k,
+                             "--reps", "2", "--seed", "1", "--workers", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and calls == []
+    assert err.count("error:") == 1 and "does not fit a normal double" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf"])

@@ -4,9 +4,11 @@
 matrix of configs: every experiment, both growth models where the
 experiment grows both, and an n grid that gives ``tail_vs_bound`` exact
 rows on both sides of n - i = 10^4, where the tails span more than one
-block of weights, and note rows.  A change to the driver, the kernels, the
-growth primitives or the exact tails that moves one row changes its
-digest; the n = 500 rows of ``tail_vs_bound`` carry a digest of their own.
+block of weights, and note rows; ``first_level_degrees`` runs once on
+the rational moment path (n <= 4096) and once on the float recursion past
+it.  A change to the driver, the kernels, the growth primitives, the
+moment sweeps or the exact tails that moves one row changes its digest;
+the n = 500 rows of ``tail_vs_bound`` carry a digest of their own.
 ``tail_vs_bound`` simulates nothing, so it opens no pool at any n, and it
 reads all the nodes of one (n, t, side) from one pass of the oracle's
 degree-law engine.
@@ -29,6 +31,8 @@ MATRIX = {
     "first_level_degrees": dict(
         experiment="first_level_degrees", n_grid=(150, 400), replications=12, seed=12,
         d_max=3),
+    "first_level_degrees_float": dict(
+        experiment="first_level_degrees", n_grid=(5000,), replications=8, seed=18, d_max=4),
     "degree_distribution_uniform": dict(
         experiment="degree_distribution", n_grid=(50, 2000), replications=8, seed=13,
         d_max=4),
@@ -51,6 +55,7 @@ MATRIX = {
 PINNED = {
     "level_exceedance": "1a4d812444bbf35d619ce63b4778eaa53be00e96b2fd2b867f6087d3ab1bfb8c",
     "first_level_degrees": "5528e8828ddbc881ea030e0d3080737b1ae4f62214f93e9aca1b100ce79b333a",
+    "first_level_degrees_float": "5c753c3de1d4ce0d0aed64ee489c335a45f684f31b9e9626d00e94c5083b53f2",
     "degree_distribution_uniform": "2bd474f36a6b578bf7798f64e1d78474b850ef5930b7bee03c7b7333c2c54a59",
     "degree_distribution_preferential": "6ecdb2da81f0db79599db1cf25ff489d6250decbee82b1a8a6025ca3ecb9baae",
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",

@@ -1,5 +1,9 @@
+import hashlib
 import io
 import itertools
+import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +14,16 @@ from hypothesis import strategies as st
 from urtlab import (
     ExponentVector,
     MomentTable,
+    ResourceGuardError,
     check_falling_factorial_identities,
     dependency_closure,
     enumeration_moment,
     exact_factorial_moment,
-    factorial_moment_float,
+    factorial_moments_float,
     falling_factorial,
     majorizes,
 )
+from urtlab import moments
 
 
 def test_falling_factorial_values():
@@ -126,14 +132,6 @@ def test_convergence_toward_one():
             assert e4096 < e64
 
 
-def test_step_identity_on_table():
-    table = MomentTable((1, 1, 1), [16, 17, 63, 64])
-    assert table.check_step_identity(16, (1, 1, 1))
-    assert table.check_step_identity(63, (1, 1, 1))
-    assert table.check_step_identity(16, (0, 1))
-    assert table.check_step_identity(63, (2,))
-
-
 def test_table_rows_and_csv():
     table = MomentTable((0, 1), [2, 3, 4])
     rows = list(table.rows())
@@ -146,9 +144,9 @@ def test_table_rows_and_csv():
 
 
 def test_float_recursion_tracks_exact():
-    for k in [(1,), (1, 1), (0, 0, 1), (2, 1)]:
+    for k in map(ExponentVector, [(1,), (1, 1), (0, 0, 1), (2, 1)]):
         exact = float(exact_factorial_moment(512, k))
-        assert abs(factorial_moment_float(512, k) - exact) < 1e-11
+        assert abs(factorial_moments_float(512, [k])[k] - exact) < 1e-11
 
 
 def test_moment_value_of_one_is_exact_not_approximate():
@@ -171,3 +169,55 @@ def test_moment_table_equals_a_plain_rational_recursion():
             + sum(Fraction(w, n) * row[moved] for w, moved in v.moves())
             for v in vectors
         }
+
+
+# sha256 of json.dumps of the float-recursion values at n = 5000 over every
+# vector of d <= 3 and total <= 14 (the closure of the golden pilot's TV
+# bound), in sweep order; numpy 2.4.6 on x86-64
+PILOT_CLOSURE_FLOATS_N5000 = "ebed935dd8b6fd0c69c433c829245aa4c0b04b58113c04ff5afcaf672e2dd21c"
+
+
+def test_float_recursion_is_pinned_bit_for_bit_on_the_pilot_closure():
+    vectors = sorted(dependency_closure((0, 0, 14)), key=lambda v: (v.d, v.k))
+    assert len(vectors) == 680
+    values = factorial_moments_float(5000, vectors)
+    digest = hashlib.sha256(json.dumps([values[v] for v in vectors]).encode()).hexdigest()
+    assert digest == PILOT_CLOSURE_FLOATS_N5000
+
+
+def chain(length):
+    """(0, .., 0, 1) whose closure is the chain of ``length`` vectors down to (0,)."""
+    return (0,) * (length - 2) + (1,)
+
+
+def test_exact_sweeps_are_guarded_by_closure_size_times_n_squared(monkeypatch):
+    """Any closure of 25 vectors is served up to n = 10^4, a larger one is
+    refused before its sweep starts."""
+    sweeps = []
+    monkeypatch.setattr(moments, "_sweep", lambda plan, n_max, kept: sweeps.append(len(plan)))
+    assert len(dependency_closure(chain(25))) == 25
+    MomentTable(chain(25), [10_000])
+    MomentTable.for_targets([(1, 1, 1), (2, 0, 1)], [10_000])
+    assert sweeps[0] == 25 and sweeps[1] <= 25
+    for target, n in ((chain(26), 10_000), ((0, 0, 0, 0, 6), 2400)):
+        with pytest.raises(ResourceGuardError, match="closure size x n"):
+            MomentTable(target, [n])
+    assert len(sweeps) == 2
+
+
+def test_closures_are_refused_while_they_are_built():
+    """The closure of (0,..,0,14) at d = 15 would hold about 10^8 vectors."""
+    assert len(dependency_closure((0, 0, 0, 0, 0, 6))) == 924 <= moments.MOMENT_CLOSURE_MAX
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for call in (lambda: dependency_closure((0,) * 14 + (14,)),
+                     lambda: factorial_moments_float(100, [(0,) * 14 + (14,)]),
+                     lambda: exact_factorial_moment(100, (0,) * 10 + (10,))):
+            with pytest.raises(ResourceGuardError, match="guarded to 1024 vectors"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**21

@@ -237,6 +237,17 @@ def test_node_level_probabilities_match_level_pmf():
             assert probs[i - 1] == pytest.approx(float(level_pmf(i, k + 2, exact=False)[k]), abs=1e-13)
 
 
+def test_levels_past_the_support_are_exact_zeros_at_once():
+    """No node of an n-node tree sits at level n or deeper: no pass is run."""
+    for n in (1, 2, 3, 100, 10**6):
+        for k in (n, n + 1, 10**8):
+            assert expected_level_size(n, k) == 0 and expected_level_size(n, k, exact=False) == 0.0
+            assert isinstance(expected_level_size(n, k, exact=True), Fraction)
+    probs = node_level_probabilities(100, 10**8)
+    assert probs.shape == (99,) and not probs.any()
+    assert node_level_probabilities(5, 4)[-1] == pytest.approx(1 / 24)  # the path 0-1-2-3-4
+
+
 def test_expected_level_size_small_exact():
     assert expected_level_size(3, 1) == Fraction(3, 2)
     assert expected_level_size(3, 2) == Fraction(1, 2)
