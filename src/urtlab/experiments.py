@@ -202,7 +202,10 @@ def resolve_workers(requested: Optional[int], replications: Optional[int] = None
         cap = min(cap, replications)
     env = os.environ.get(WORKER_ENV)
     if env:
-        wanted = int(env)
+        try:
+            wanted = int(env)
+        except ValueError:
+            raise ValueError(f"{WORKER_ENV} must be an integer, got {env!r}") from None
     elif requested is not None:
         wanted = int(requested)
     else:

@@ -44,6 +44,11 @@ EXACT_MOMENT_GUARD_N = 10_000
 # a 462-vector closure took 1.0 s at n = 1000 and 4.0 s at 2000 (2 vCPU); the
 # work is guarded to what 25 vectors cost at EXACT_MOMENT_GUARD_N
 EXACT_MOMENT_MAX_WORK = 25 * EXACT_MOMENT_GUARD_N**2
+# each kept row reduces one Fraction of about n log n bits per closure vector,
+# which costs about n^2 / 32 of those work units: keeping every row of (1, 1, 1)'s
+# 14-vector closure took 2.5 s to n = 2000 and 18 s to n = 4000 (2 vCPU); the
+# kept rows get a budget of their own, so one row at any admitted n stays admitted
+KEPT_ROW_WORK_DIVISOR = 32
 # the closure of (0,..,0,k) grows about 4x per unit of k, and the float sweep's
 # dense step matrix is its size squared in doubles: 8 MiB at this cap, which
 # admits every vector of d <= 3 and total <= 16 (969)
@@ -273,6 +278,13 @@ class MomentTable:
             raise ResourceGuardError(
                 f"exact moments are guarded to closure size x n^2 <= {EXACT_MOMENT_MAX_WORK:.1e}, "
                 f"got {len(plan)} x {ns[-1]}^2; factorial_moments_float serves it"
+            )
+        kept_work = len(plan) * sum(n * n for n in ns) // KEPT_ROW_WORK_DIVISOR
+        if kept_work > EXACT_MOMENT_MAX_WORK:
+            raise ResourceGuardError(
+                f"exact moment tables are guarded to closure size x sum of kept n^2 / "
+                f"{KEPT_ROW_WORK_DIVISOR} <= {EXACT_MOMENT_MAX_WORK:.1e}, got {kept_work:.1e} for "
+                f"{len(plan)} vectors and {len(ns)} rows up to n={ns[-1]}; keep fewer n values"
             )
         self.n_values = ns
         self.vectors = [v for v, _, _ in plan]

@@ -17,6 +17,12 @@ Two growth models are supported:
   list is never built: each entry is a node index or a copy of an earlier
   parent, and pointer jumping resolves all picks at once.
 
+Levels come from one forward pass over blocks of nodes: since
+``parent[i] < i``, every level before a block is final, and pointer jumping
+over the block's own edges leads each of its nodes to its first ancestor
+outside it.  That costs O(n) on uniform trees and O(n log block) at worst (a
+path), and holds only block-sized arrays beside the result.
+
 Growth is deterministic given ``(model, n, seed)``.  Trees are immutable
 after growth and safe to share across processes.
 """
@@ -35,9 +41,12 @@ from .errors import ResourceGuardError
 from .rng import check_seed, generator
 
 DETERMINISTIC = "deterministic"
-# peak RSS per node of growth with degrees and levels: 44-50 bytes from 10^6 to
-# 4 x 10^6 nodes (at 10^6, peak_rss_mb 73 MiB over a 30-MiB interpreter)
-GROWTH_BYTES_PER_NODE = 50
+# peak RSS per node of grow() (parents, degrees and levels) over a 30-MiB
+# interpreter, at 10^6 and 4 x 10^6 nodes: uniform 26 and 22 bytes, preferential
+# 40 and 35 (its pointer jumps hold several int64 arrays at once)
+GROWTH_BYTES_PER_NODE = 40
+
+_LEVEL_BLOCK = 1 << 14  # nodes per block of the level pass
 
 _MAGIC = b"URT1"
 _HEADER = struct.Struct("<4sQBQ")  # magic, node count, model tag, seed
@@ -96,19 +105,31 @@ class RecursiveTree:
 
 
 def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
-    """Root distances via pointer doubling; O(n log depth), vectorized."""
+    """Root distances in one forward pass over blocks of :data:`_LEVEL_BLOCK` nodes.
+
+    Since ``parent[i] < i``, every level before a block is final when the
+    block is reached.  Each node of the block then needs only its first
+    ancestor before the block (``up``) and its hop count to it (``hops``).
+    Pointer jumping over the block's own edges finds both; each round
+    touches only the nodes whose ancestor still lies inside the block, a set
+    that shrinks every round.  One gather, ``level[up] + hops``, writes the
+    block.  The cost is O(n) for uniform trees and O(n log block) at worst
+    (a path); besides the int32 result it holds a few block-sized arrays.
+    """
     n = parent.shape[0]
-    jump = parent.astype(np.int64, copy=True)
-    jump[0] = 0
-    depth = np.zeros(n, dtype=np.int64)
-    depth[1:] = 1
-    while True:
-        advance = depth[jump]
-        if not advance.any():
-            break
-        depth += advance
-        jump = jump[jump]
-    return depth.astype(np.int32)
+    level = np.zeros(n, dtype=np.int32)
+    for start in range(1, n, _LEVEL_BLOCK):
+        up = parent[start:start + _LEVEL_BLOCK].copy()
+        hops = np.ones(up.shape[0], dtype=np.int32)
+        inside = np.flatnonzero(up >= start)
+        while inside.size:
+            at = up[inside] - start
+            hops[inside] += hops[at]
+            jumped = up[at]
+            up[inside] = jumped
+            inside = inside[jumped >= start]
+        level[start:start + _LEVEL_BLOCK] = level[up] + hops
+    return level
 
 
 def _degrees_from_parents(parent: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from urtlab.cli import cli_main
-from urtlab import experiments
+from urtlab import experiments, moments
 from urtlab.tree import load_tree
 
 
@@ -178,6 +178,29 @@ def test_moments_closure_guards_exit_2_at_once(capsys, k, guard):
     assert peak < 2 * 2**20
 
 
+def test_moments_table_kept_rows_are_guarded(capsys, monkeypatch):
+    """Each kept row reduces one Fraction per closure vector: every n up to 4000
+    took 20 s for (1, 1, 1), so every n up to 10^4 is refused before the sweep."""
+    sweeps = []
+    real_sweep = moments._sweep
+
+    def sweep(plan, n_max, kept):
+        assert len(kept) <= 3, "every n up to 10^4 reached the sweep"
+        sweeps.append(n_max)
+        return real_sweep(plan, n_max, kept)
+
+    monkeypatch.setattr(moments, "_sweep", sweep)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "moments", "--n", "2", "--k", "1,1,1", "--table",
+                             "--ns", ",".join(map(str, range(2, 10_001))))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and sweeps == []
+    assert err.count("error:") == 1 and "sum of kept n^2" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "moments", "--n", "2", "--k", "1,1,1", "--table",
+                           "--ns", "2,100,1000")
+    assert code == 0 and len(sweeps) == 1 and out.count("\n") == 1 + 3 * 14
+
+
 def test_enumerate_rejects_parameters_the_statistic_does_not_take(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--statistic", "max_degree",
                              "--k", "1")
@@ -337,6 +360,15 @@ def test_experiment_echo_shows_the_clamped_worker_count(capsys, monkeypatch):
                            "--seed", "1", "--workers", "1000000")
     assert code == 0
     assert '"workers": 1, "format": "json"' in err
+
+
+def test_worker_env_that_is_not_an_integer_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("URT_THREADS", "abc")
+    code, out, err = run_cli(capsys, "experiment", "level_sizes", "--n", "100", "--reps", "4",
+                             "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "URT_THREADS must be an integer, got 'abc'" in err
 
 
 def test_experiment_csv_to_stdout(capsys):

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -13,7 +16,7 @@ from urtlab import (
     validate,
 )
 from urtlab.rng import derive_seed, generator
-from urtlab.tree import _preferential_parents
+from urtlab.tree import _LEVEL_BLOCK, _levels_from_parents, _preferential_parents, _uniform_parents
 
 
 def test_single_node_tree():
@@ -193,6 +196,85 @@ def test_validate_reports_degree_tampering():
 
 def test_validate_accepts_star():
     assert validate(grow_from_sequence([0, 0, 0, 0])) == []
+
+
+def _sequential_levels(parent):
+    """Reference: ``level[i] = level[parent[i]] + 1``, one node at a time."""
+    level = [0] * len(parent)
+    for i, p in enumerate(parent.tolist()[1:], start=1):
+        level[i] = level[p] + 1
+    return np.asarray(level, dtype=np.int32)
+
+
+def _shape(name, n):
+    i = np.arange(n)
+    parent = {
+        "path": i - 1,
+        "star": np.zeros(n, dtype=np.int64),
+        "binary_heap": (i - 1) // 2,
+        "caterpillar": np.where(i % 2 == 0, i - 2, i - 1),  # even spine, odd legs
+        # every node of a block hangs off the last node of the block before
+        "block_fan": (i - 1) // _LEVEL_BLOCK * _LEVEL_BLOCK,
+    }[name].astype(np.int64)
+    parent[0] = -1
+    if n > 2 and name == "caterpillar":
+        parent[2] = 0
+    return parent
+
+
+B = _LEVEL_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 7])
+def test_levels_match_the_sequential_reference_on_uniform_trees(n):
+    for seed in (0, 11):
+        parent = _uniform_parents(n, generator(seed))
+        level = _levels_from_parents(parent)
+        assert level.dtype == np.int32
+        assert np.array_equal(level, _sequential_levels(parent))
+
+
+@pytest.mark.parametrize("name", ["path", "star", "binary_heap", "caterpillar", "block_fan"])
+@pytest.mark.parametrize("n", [2, 3, B, B + 1, 3 * B + 7])
+def test_levels_match_the_sequential_reference_on_fixed_shapes(name, n):
+    parent = _shape(name, n)
+    assert (parent[1:] < np.arange(1, n)).all() and (parent[1:] >= 0).all()
+    assert np.array_equal(_levels_from_parents(parent), _sequential_levels(parent))
+
+
+@pytest.mark.parametrize("name", ["uniform", "path", "block_fan"])
+def test_loaded_trees_carry_the_sequential_levels(tmp_path, name):
+    n = 3 * B + 7
+    if name == "uniform":
+        tree = grow("uniform", n, 29)
+    else:
+        tree = grow_from_sequence(_shape(name, n)[1:])
+    path = tmp_path / f"{name}.urt"
+    save_tree(tree, path)
+    back = load_tree(path)
+    assert np.array_equal(back.level, _sequential_levels(back.parent))
+    assert validate(back) == []
+
+
+def test_levels_of_a_million_node_path_are_fast():
+    """The worst case: each block needs log2(block) jumping rounds."""
+    parent = _shape("path", 10**6)
+    start = time.perf_counter()
+    level = _levels_from_parents(parent)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(level, np.arange(10**6))
+
+
+def test_levels_hold_little_beside_their_result():
+    """The int32 result is 3.8 MiB at 10^6 nodes; the pass adds block-sized arrays only."""
+    parent = _uniform_parents(10**6, generator(3))
+    tracemalloc.start()
+    try:
+        _levels_from_parents(parent)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_binary_dump_round_trip(tmp_path):
