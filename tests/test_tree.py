@@ -198,6 +198,9 @@ def test_validate_accepts_star():
     assert validate(grow_from_sequence([0, 0, 0, 0])) == []
 
 
+B = _LEVEL_BLOCK
+
+
 def _sequential_levels(parent):
     """Reference: ``level[i] = level[parent[i]] + 1``, one node at a time."""
     level = [0] * len(parent)
@@ -214,15 +217,10 @@ def _shape(name, n):
         "binary_heap": (i - 1) // 2,
         "caterpillar": np.where(i % 2 == 0, i - 2, i - 1),  # even spine, odd legs
         # every node of a block hangs off the last node of the block before
-        "block_fan": (i - 1) // _LEVEL_BLOCK * _LEVEL_BLOCK,
+        "block_fan": (i - 1) // B * B,
     }[name].astype(np.int64)
     parent[0] = -1
-    if n > 2 and name == "caterpillar":
-        parent[2] = 0
     return parent
-
-
-B = _LEVEL_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 7])
