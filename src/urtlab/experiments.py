@@ -446,8 +446,17 @@ def _degree_distribution_rows(config, n, table):
     return rows
 
 
+def _check_degree_span(config: ExperimentConfig) -> None:
+    """Refuse, before anything is simulated, a ``d_max`` past every degree the
+    grid can hold: a degree is at most ``n - 1``."""
+    if config.d_max > max(config.n_grid):
+        raise ValueError(f"d_max={config.d_max} exceeds the largest n={max(config.n_grid)}, "
+                         "and a degree is at most n - 1")
+
+
 def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
     """Empirical degree fractions per (n, d) against the model's limit law."""
+    _check_degree_span(config)
     return _run(config, _kernel_degree_distribution,
                 lambda n: (config.model, n, config.d_max), _degree_distribution_rows)
 
@@ -529,16 +538,13 @@ def _kernel_higher_level(cfg, seed):
     parent = _parents("uniform", n, seed)
     degree = _degrees_from_parents(parent)
     level = _levels_from_parents(parent)
-    sizes = np.bincount(level)
     out = []
     for k in ks:
-        size_k = float(sizes[k]) if k < sizes.size else 0.0
-        size_km1 = float(sizes[k - 1]) if k - 1 < sizes.size else 0.0
-        deg_k = degree[level == k]
-        for d in range(1, d_max + 1):
-            out.append(float((deg_k == d).sum()))
-        out.append(size_km1)
-        out.append(size_k)
+        in_k = level == k
+        counts = np.bincount(degree[in_k], minlength=d_max + 1)
+        out.extend(float(c) for c in counts[1:d_max + 1])
+        out.append(float(np.count_nonzero(level == k - 1)))
+        out.append(float(np.count_nonzero(in_k)))
     return tuple(out)
 
 
@@ -569,6 +575,7 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
     """
     if min(config.k_grid) < 2:
         raise ValueError(f"this experiment needs levels k >= 2, got {config.k_grid}")
+    _check_degree_span(config)
     return _run(config, _kernel_higher_level,
                 lambda n: (n, config.k_grid, config.d_max), _higher_level_rows)
 

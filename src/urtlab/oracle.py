@@ -134,7 +134,7 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
 
     Registered statistics: ``level_degree_count`` (params ``d``, optional
     ``k``), ``exceedance_count`` (``k``, ``t``), ``level_size`` (``k``),
-    ``max_degree``, ``fixed_points``.
+    ``max_degree``, ``fixed_points``.  A negative level ``k`` is refused.
     """
     try:
         fn = STATISTICS[statistic]
@@ -145,6 +145,8 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
         inspect.signature(fn).bind(None, **params)
     except TypeError as exc:
         raise ValueError(f"statistic {statistic!r}: {exc}") from None
+    if params.get("k", 0) < 0:
+        raise ValueError(f"statistic {statistic!r}: level k must be >= 0, got {params['k']}")
     counts: dict[int, int] = {}
     total = 0
     for tree in enumerate_trees(n):

@@ -15,13 +15,14 @@ Two growth models are supported:
   endpoints), which makes the attachment probability proportional to the
   current degree (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).  The
   list is never built: each entry is a node index or a copy of an earlier
-  parent, and pointer jumping resolves all picks at once.
+  parent.
 
-Levels come from one forward pass over blocks of nodes: since
-``parent[i] < i``, every level before a block is final, and pointer jumping
-over the block's own edges leads each of its nodes to its first ancestor
-outside it.  That costs O(n) on uniform trees and O(n log block) at worst (a
-path), and holds only block-sized arrays beside the result.
+Copied parents and levels are both chains of links to earlier nodes, and
+both come from one forward pass over blocks of nodes: since
+``parent[i] < i``, everything before a block is final, and pointer jumping
+over the block's own links leads each of its nodes out of it.  That costs
+O(n) on uniform trees and O(n log block) at worst (a path), and holds only
+block-sized arrays beside the result.
 
 Growth is deterministic given ``(model, n, seed)``.  Trees are immutable
 after growth and safe to share across processes.
@@ -42,9 +43,9 @@ from .rng import check_seed, generator
 
 DETERMINISTIC = "deterministic"
 # peak RSS per node of grow() (parents, degrees and levels) over a 30-MiB
-# interpreter, at 10^6 and 4 x 10^6 nodes: uniform 26 and 22 bytes, preferential
-# 40 and 35 (its pointer jumps hold several int64 arrays at once)
-GROWTH_BYTES_PER_NODE = 40
+# interpreter, at 10^6 and 4 x 10^6 nodes: 27 and 22 bytes for either model,
+# set by the uniform draw's three int64 arrays of length n
+GROWTH_BYTES_PER_NODE = 32
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of the level pass
 
@@ -104,31 +105,37 @@ class RecursiveTree:
         )
 
 
+def _chain_ends(link: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Follow the links of the block of nodes ``start, start + 1, ...`` out of it.
+
+    ``link[j] < start + j`` is where node ``start + j`` links to.  Pointer
+    jumping over the block's own links returns, per node, the first link
+    value below ``start`` on its chain (a caller's negative mark counts) and
+    the hop count to it; each round touches only the chains still inside
+    the block.  ``link`` is overwritten.
+    """
+    hops = np.ones(link.shape[0], dtype=np.int32)
+    inside = np.flatnonzero(link >= start)
+    while inside.size:
+        at = link[inside] - start
+        hops[inside] += hops[at]
+        jumped = link[at]
+        link[inside] = jumped
+        inside = inside[jumped >= start]
+    return link, hops
+
+
 def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
     """Root distances in one forward pass over blocks of :data:`_LEVEL_BLOCK` nodes.
 
-    Since ``parent[i] < i``, every level before a block is final when the
-    block is reached.  Each node of the block then needs only its first
-    ancestor before the block (``up``) and its hop count to it (``hops``).
-    Pointer jumping over the block's own edges finds both; each round
-    touches only the nodes whose ancestor still lies inside the block, a set
-    that shrinks every round.  One gather, ``level[up] + hops``, writes the
-    block.  The cost is O(n) for uniform trees and O(n log block) at worst
-    (a path); besides the int32 result it holds a few block-sized arrays.
+    Every level before a block is final when the block is reached, so one
+    gather, ``level[end] + hops`` from :func:`_chain_ends`, writes the block.
     """
     n = parent.shape[0]
     level = np.zeros(n, dtype=np.int32)
     for start in range(1, n, _LEVEL_BLOCK):
-        up = parent[start:start + _LEVEL_BLOCK].copy()
-        hops = np.ones(up.shape[0], dtype=np.int32)
-        inside = np.flatnonzero(up >= start)
-        while inside.size:
-            at = up[inside] - start
-            hops[inside] += hops[at]
-            jumped = up[at]
-            up[inside] = jumped
-            inside = inside[jumped >= start]
-        level[start:start + _LEVEL_BLOCK] = level[up] + hops
+        end, hops = _chain_ends(parent[start:start + _LEVEL_BLOCK].copy(), start)
+        level[start:start + _LEVEL_BLOCK] = level[end] + hops
     return level
 
 
@@ -167,33 +174,27 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
 
     The endpoint list holds both endpoints of every edge in insertion order:
     entry ``2e`` is ``parent[e+1]`` and entry ``2e+1`` is node ``e+1``.  Node
-    ``i >= 2`` attaches to entry ``d_i``, uniform on ``[0, 2(i-1))``; all
-    draws come in one vectorized batch, independent of earlier outcomes.
-    Entry ``d_i`` lies on the edge of node ``v = d_i // 2 + 1 < i``: an odd
-    ``d_i`` is ``v`` itself, an even one copies ``parent[v]``.  Pointer
-    jumping over those copy links (``link = link[link]`` until it stops
-    changing) lands every node on one whose parent was named outright, in
-    O(n log chain) work.  The parents equal those of the sequential list
+    ``i >= 2`` attaches to entry ``d_i``, uniform on ``[0, 2(i-1))``, drawn
+    independently of earlier outcomes.  Entry ``d_i`` lies on the edge of
+    node ``v = d_i // 2 + 1 < i``: an odd ``d_i`` is ``v`` itself, an even
+    one copies ``parent[v]``.  Blocks of :data:`_LEVEL_BLOCK` nodes draw in
+    one batch each, and :func:`_chain_ends` follows the copy links to a
+    parent named outright.  The parents equal those of the sequential list
     walk, draw for draw.
     """
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
     parent[1] = 0
-    if n > 2:
-        node = rng.integers(0, 2 * np.arange(1, n - 1), dtype=np.int64)  # d_i
-        even = (node & 1) == 0
-        node >>= 1
-        node += 1  # v, the node whose edge holds entry d_i
-        parent[2:] = node  # right for odd d_i
-        link = np.arange(n)
-        np.copyto(link[2:], node, where=even)  # even d_i: take v's parent
-        del node, even  # 9 MB at n = 10^6 that the jumps below need not hold
-        while True:
-            jumped = link[link]
-            if np.array_equal(jumped, link):
-                break
-            link = jumped
-        parent[2:] = parent[link[2:]]
+    for start in range(2, n, _LEVEL_BLOCK):
+        stop = min(start + _LEVEL_BLOCK, n)
+        link = rng.integers(0, 2 * np.arange(start - 1, stop - 1), dtype=np.int64)  # d_i
+        odd = (link & 1) == 1
+        link >>= 1
+        link += 1  # v, the node whose edge holds entry d_i
+        np.invert(link, out=link, where=odd)  # odd d_i: parent v, kept as ~v < 0 to end the chain
+        end, _ = _chain_ends(link, start)
+        # a negative end is ~parent; parent[end] reads from the back there and is discarded
+        parent[start:stop] = np.where(end < 0, ~end, parent[end])
     return parent
 
 
@@ -227,6 +228,19 @@ def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     return _assemble(parent, GrowthModel.parse(model), check_seed(seed))
 
 
+def _parent_array(seq: np.ndarray) -> np.ndarray:
+    """``[-1, *seq]`` as int64, once every ``seq[i-1]`` is checked to lie in ``0..i-1``."""
+    n = seq.shape[0] + 1
+    bad = np.flatnonzero((seq < 0) | (seq >= np.arange(1, n)))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise ValueError(f"parents[{i - 1}]={int(seq[i - 1])} is not a valid target for node {i}")
+    parent = np.empty(n, dtype=np.int64)
+    parent[0] = -1
+    parent[1:] = seq
+    return parent
+
+
 def grow_from_sequence(
     parents: Sequence[int],
     model: Union[str, GrowthModel] = GrowthModel.UNIFORM,
@@ -237,17 +251,7 @@ def grow_from_sequence(
     must be a node index smaller than ``i``.  The result carries the
     ``"deterministic"`` seed marker.
     """
-    seq = np.asarray(list(parents), dtype=np.int64)
-    n = seq.shape[0] + 1
-    bad = np.nonzero((seq < 0) | (seq >= np.arange(1, n)))[0]
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ValueError(
-            f"parents[{i - 1}]={int(seq[i - 1])} is not a valid target for node {i}"
-        )
-    parent = np.empty(n, dtype=np.int64)
-    parent[0] = -1
-    parent[1:] = seq
+    parent = _parent_array(np.asarray(list(parents), dtype=np.int64))
     return _assemble(parent, GrowthModel.parse(model), DETERMINISTIC)
 
 
@@ -317,7 +321,7 @@ def load_tree(path) -> RecursiveTree:
     The file size must equal the header plus ``4(n-1)`` bytes for the
     header's ``n``; that is checked before the parent section is read or
     allocated, so trailing bytes, ``n = 0`` or a corrupt huge ``n`` raise
-    ``ValueError``.
+    ``ValueError``, as does an entry outside ``0..i-1`` for its node ``i``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -338,9 +342,4 @@ def load_tree(path) -> RecursiveTree:
         raw = fh.read(body)
     model = GrowthModel(tag & ~_DETERMINISTIC_FLAG)
     stored: Union[int, str] = DETERMINISTIC if tag & _DETERMINISTIC_FLAG else int(seed)
-    parent = np.empty(n, dtype=np.int64)
-    parent[0] = -1
-    parent[1:] = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-    if n > 1 and (parent[1:] >= np.arange(1, n)).any():
-        raise ValueError("parent entries violate parent[i] < i")
-    return _assemble(parent, model, stored)
+    return _assemble(_parent_array(np.frombuffer(raw, dtype="<u4")), model, stored)

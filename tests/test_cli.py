@@ -94,6 +94,11 @@ def test_load_tree_refuses_a_corrupt_huge_n_before_allocating(tmp_path, capsys):
     assert peak < 2**20
 
 
+def test_load_tree_names_the_node_whose_parent_is_not_earlier(tmp_path, capsys):
+    path = _tree_file(tmp_path, 4, [0, 0, 7])
+    _assert_bad_tree_file(capsys, path, r"parents\[2\]=7 is not a valid target for node 3")
+
+
 def test_stats_from_seed(capsys):
     code, out, _ = run_cli(capsys, "stats", "--model", "uniform", "--n", "100", "--seed", "3")
     assert code == 0
@@ -453,3 +458,28 @@ def test_experiment_unknown_id(capsys):
     code, _, _ = run_cli(capsys, "experiment", "mystery", "--n", "100",
                          "--reps", "5", "--seed", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("params", [
+    ["--statistic", "level_size"],
+    ["--statistic", "level_degree_count", "--d", "1"],
+    ["--statistic", "exceedance_count", "--t", "0.5"],
+])
+def test_enumerate_refuses_a_negative_level(capsys, params):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "4", *params, "--k", "-1")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "level k must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["degree_distribution", "--n", "10", "--reps", "1", "--seed", "1", "--dmax", "1000000000"],
+    ["higher_level_small_degree", "--n", "10", "--reps", "1", "--seed", "1", "--k", "2",
+     "--dmax", "100000000"],
+])
+def test_experiment_refuses_a_dmax_past_every_degree_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "experiment", *argv, "--workers", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "exceeds the largest n=10" in err
