@@ -44,7 +44,7 @@ from .rng import check_seed, generator
 DETERMINISTIC = "deterministic"
 # peak RSS per node of grow() (parents, degrees and levels) over a 30-MiB
 # interpreter, at 10^6 and 4 x 10^6 nodes: 27 and 22 bytes for either model,
-# set by the uniform draw's three int64 arrays of length n
+# reached while degrees are counted (int64 parents and counts, int32 copy)
 GROWTH_BYTES_PER_NODE = 32
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of the level pass
