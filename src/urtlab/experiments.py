@@ -14,10 +14,11 @@ kernel's arguments at each ``n`` and a row builder that turns the
 ``(replications x columns)`` table at that ``n`` into report rows;
 ``tail_vs_bound`` has no kernel, as its rows are exact.  When
 ``workers > 1`` the driver opens one process pool for the whole run, and
-only if there is a kernel.  Kernels grow trees through
-:func:`urtlab.tree._parents`, the draws :func:`urtlab.tree.grow` makes,
-and derive only the arrays they read (degrees, and levels where a kernel
-looks past level 1), which matters at ``n = 10^6``.
+only if there is a kernel.  A kernel grows one tree with
+:func:`urtlab.tree.grow`, reads its statistic from :mod:`urtlab.stats`
+and packs the result into a tuple.  The tree derives degrees and levels
+only when a statistic first reads them, so a level-1 kernel never
+computes levels, which matters at ``n = 10^6``.
 
 :data:`READS` lists the config fields each experiment reads beyond the
 grid, replication count and seed; the report echoes exactly those.  Only
@@ -48,10 +49,11 @@ from . import oracle
 from .moments import EXACT_MOMENT_MAX_N, ExponentVector, MomentTable, factorial_moments_float
 from .oracle import _degree_law_sums
 from .rng import check_seed, derive_seed
-from .tree import GrowthModel, _degrees_from_parents, _levels_from_parents, _parents
+from .stats import (degree_counts_in_level, degree_histogram, exceedance_threshold, level_sizes,
+                    max_degree)
+from .tree import GrowthModel, grow
 
 SCHEMA = "urt-report/1"
-WORKER_ENV = "URT_THREADS"
 ECHOED = ("experiment", "n_grid", "replications", "seed")  # in every report's config echo
 # level_exceedance rows carry exact_numerator up to this n: past it the tails cost
 # ~1 s per point at 10^6, and the benchmark's 5-SE check on the count has no derived rate
@@ -192,24 +194,14 @@ def _usable_cpus() -> int:
 
 
 def resolve_workers(requested: Optional[int], replications: Optional[int] = None) -> int:
-    """Worker count: the ``URT_THREADS`` env var overrides ``requested``,
-    which defaults to the usable CPUs.  Either is clamped to at least 1 and
-    at most the usable CPUs and ``replications``, so a typo cannot start
-    more processes than there is work or hardware for.
+    """Worker count: ``requested``, which defaults to the usable CPUs, clamped
+    to at least 1 and at most the usable CPUs and ``replications``, so a
+    typo cannot start more processes than there is work or hardware for.
     """
     cap = _usable_cpus()
     if replications is not None:
         cap = min(cap, replications)
-    env = os.environ.get(WORKER_ENV)
-    if env:
-        try:
-            wanted = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKER_ENV} must be an integer, got {env!r}") from None
-    elif requested is not None:
-        wanted = int(requested)
-    else:
-        wanted = cap
+    wanted = cap if requested is None else int(requested)
     return max(1, min(wanted, cap))
 
 
@@ -271,6 +263,12 @@ def _mean_se(values: np.ndarray) -> tuple[float, Optional[float]]:
     return mean, float(used.std(ddof=1) / math.sqrt(used.size))
 
 
+def _check_two_nodes(config: ExperimentConfig) -> None:
+    """Refuse n < 2 before anything is simulated: the level references start at n = 2."""
+    if min(config.n_grid) < 2:
+        raise ValueError(f"experiment {config.experiment!r} needs n >= 2, got {min(config.n_grid)}")
+
+
 def _clean(x):
     if x is None:
         return None
@@ -283,22 +281,14 @@ def _clean(x):
 
 def _kernel_level_exceedance(cfg, seed):
     n, ks, ts = cfg
-    parent = _parents("uniform", n, seed)
-    degree = _degrees_from_parents(parent)
-    level = _levels_from_parents(parent) if any(k != 1 for k in ks) else None
-    log_n = math.log(n)
+    tree = grow("uniform", n, seed)
     out = []
     for k in ks:
-        if k == 1:
-            deg_k = degree[1:][parent[1:] == 0]
-        else:
-            deg_k = degree[level == k]
-        size = deg_k.size
+        profile = degree_counts_in_level(tree, k)
+        size = profile.level_size
         for t in ts:
-            num = int((deg_k > t * log_n).sum())
-            out.append(float(num))
-            out.append(float(size))
-            out.append(num / size if size else float("nan"))
+            num = profile.exceeding(exceedance_threshold(n, t))
+            out.extend((float(num), float(size), num / size if size else float("nan")))
     return tuple(out)
 
 
@@ -330,6 +320,7 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
     """
     if min(config.k_grid) < 1:
         raise ValueError(f"this experiment needs levels k >= 1, got {config.k_grid}")
+    _check_two_nodes(config)
     return _run(config, _kernel_level_exceedance,
                 lambda n: (n, config.k_grid, config.t_grid), _level_exceedance_rows)
 
@@ -339,10 +330,8 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_first_level_degrees(cfg, seed):
     n, d_max = cfg
-    parent = _parents("uniform", n, seed)
-    deg1 = _degrees_from_parents(parent)[1:][parent[1:] == 0]
-    counts = np.bincount(deg1, minlength=d_max + 1)
-    return tuple(int(c) for c in counts[1 : d_max + 1])
+    counts = degree_counts_in_level(grow("uniform", n, seed), 1).counts
+    return tuple(counts.get(d, 0) for d in range(1, d_max + 1))
 
 
 def _poisson1_pmf(m: int) -> float:
@@ -416,6 +405,7 @@ def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.d_max > 6:
         raise ValueError(f"d_max is capped at 6 for this experiment, got {config.d_max}")
+    _check_two_nodes(config)
     return _run(config, _kernel_first_level_degrees,
                 lambda n: (n, config.d_max), _first_level_degrees_rows)
 
@@ -425,9 +415,8 @@ def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_degree_distribution(cfg, seed):
     model, n, d_max = cfg
-    degree = _degrees_from_parents(_parents(model, n, seed))
-    hist = np.bincount(degree, minlength=d_max + 1)
-    return tuple(float(hist[d]) / n for d in range(1, d_max + 1))
+    hist = degree_histogram(grow(model, n, seed))
+    return tuple(hist.get(d, 0) / n for d in range(1, d_max + 1))
 
 
 def degree_fraction_limit(model: str, d: int) -> float:
@@ -466,7 +455,7 @@ def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_level_sizes(cfg, seed):
     n, ks = cfg
-    sizes = np.bincount(_levels_from_parents(_parents("uniform", n, seed)))
+    sizes = level_sizes(grow("uniform", n, seed))
     return tuple(float(sizes[k]) if k < sizes.size else 0.0 for k in ks)
 
 
@@ -511,7 +500,8 @@ def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_max_degree(cfg, seed):
     (n,) = cfg
-    return (float(_degrees_from_parents(_parents("uniform", n, seed)).max()),)
+    # a single node has no edges: its maximum degree reads 0
+    return (float(max_degree(grow("uniform", n, seed))) if n > 1 else 0.0,)
 
 
 def _max_degree_rows(config, n, table):
@@ -535,16 +525,12 @@ def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_higher_level(cfg, seed):
     n, ks, d_max = cfg
-    parent = _parents("uniform", n, seed)
-    degree = _degrees_from_parents(parent)
-    level = _levels_from_parents(parent)
+    tree = grow("uniform", n, seed)
     out = []
     for k in ks:
-        in_k = level == k
-        counts = np.bincount(degree[in_k], minlength=d_max + 1)
-        out.extend(float(c) for c in counts[1:d_max + 1])
-        out.append(float(np.count_nonzero(level == k - 1)))
-        out.append(float(np.count_nonzero(in_k)))
+        below, level_k = (degree_counts_in_level(tree, j) for j in (k - 1, k))
+        out.extend(float(level_k.counts.get(d, 0)) for d in range(1, d_max + 1))
+        out.extend((float(below.level_size), float(level_k.level_size)))
     return tuple(out)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .bijection import fixed_points_after_first, tree_to_permutation
 from .errors import ResourceGuardError
 from .moments import ExponentVector, VectorLike, falling_factorial
-from .stats import degree_counts_in_level, exceedance_count, level_sizes, max_degree
+from .stats import degree_counts_in_level, exceedance_count, max_degree
 from .tree import RecursiveTree, grow_from_sequence
 
 ENUMERATION_MAX_NODES = 11  # 10! = 3.6M sequences
@@ -103,17 +103,8 @@ def _stat_level_degree_count(tree: RecursiveTree, d: int, k: int = 1) -> int:
     return degree_counts_in_level(tree, k).counts.get(d, 0)
 
 
-def _stat_exceedance_count(tree: RecursiveTree, k: int, t: float) -> int:
-    return exceedance_count(tree, k, t)
-
-
 def _stat_level_size(tree: RecursiveTree, k: int) -> int:
-    sizes = level_sizes(tree)
-    return int(sizes[k]) if k < len(sizes) else 0
-
-
-def _stat_max_degree(tree: RecursiveTree) -> int:
-    return max_degree(tree)
+    return degree_counts_in_level(tree, k).level_size
 
 
 def _stat_fixed_points(tree: RecursiveTree) -> int:
@@ -122,9 +113,9 @@ def _stat_fixed_points(tree: RecursiveTree) -> int:
 
 STATISTICS = {
     "level_degree_count": _stat_level_degree_count,
-    "exceedance_count": _stat_exceedance_count,
+    "exceedance_count": exceedance_count,
     "level_size": _stat_level_size,
-    "max_degree": _stat_max_degree,
+    "max_degree": max_degree,
     "fixed_points": _stat_fixed_points,
 }
 

@@ -1,8 +1,9 @@
 """Observables of a grown tree: level sizes, degree histograms, per-level
 degree counts and the fraction of high-degree nodes per level.
 
-All functions are pure and operate on the tree's flat arrays; none of them
-mutate the tree, so they are safe to call concurrently.
+The experiment kernels call these on the trees they grow.  Level-1
+statistics never derive levels.  All functions are pure and never mutate
+the tree, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevelError
-from .tree import RecursiveTree
+from .tree import RecursiveTree, _writable
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,10 @@ class LevelDegreeProfile:
     counts: dict[int, int]
     level_size: int
 
+    def exceeding(self, threshold: float) -> int:
+        """Number of the level's nodes whose degree is above ``threshold``."""
+        return sum(c for d, c in self.counts.items() if d > threshold)
+
     def to_dict(self) -> dict:
         return {
             "k": self.k,
@@ -41,8 +46,8 @@ def level_sizes(tree: RecursiveTree) -> np.ndarray:
     return np.bincount(tree.level)
 
 
-def high_degree_fraction(tree: RecursiveTree, k: int, t: float) -> float:
-    """Fraction of level-``k`` nodes whose degree exceeds ``t * ln(n)``.
+def exceedance_threshold(n: int, t: float) -> float:
+    """``t * ln(n)``, the degree a node must pass to count as high.
 
     ``t`` must lie in (0, 1).  The threshold is evaluated in double
     precision; degrees are integers, so ties are impossible unless
@@ -51,13 +56,16 @@ def high_degree_fraction(tree: RecursiveTree, k: int, t: float) -> float:
     t = float(t)
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
-    mask = tree.level == k
-    size = int(mask.sum())
-    if size == 0:
+    return t * math.log(n)
+
+
+def high_degree_fraction(tree: RecursiveTree, k: int, t: float) -> float:
+    """Fraction of level-``k`` nodes whose degree exceeds ``t * ln(n)``."""
+    threshold = exceedance_threshold(tree.n, t)
+    profile = degree_counts_in_level(tree, k)
+    if profile.level_size == 0:
         raise EmptyLevelError(f"level {k} is empty (n={tree.n})")
-    threshold = t * math.log(tree.n)
-    exceed = int((tree.degree[mask] > threshold).sum())
-    return exceed / size
+    return profile.exceeding(threshold) / profile.level_size
 
 
 def exceedance_count(tree: RecursiveTree, k: int, t: float) -> int:
@@ -66,11 +74,8 @@ def exceedance_count(tree: RecursiveTree, k: int, t: float) -> int:
     The numerator of :func:`high_degree_fraction`; defined (as 0) even for
     empty levels.
     """
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    threshold = t * math.log(tree.n)
-    return int(((tree.level == k) & (tree.degree > threshold)).sum())
+    threshold = exceedance_threshold(tree.n, t)
+    return degree_counts_in_level(tree, k).exceeding(threshold)
 
 
 def degree_counts_in_level(tree: RecursiveTree, k: int) -> LevelDegreeProfile:
@@ -78,19 +83,19 @@ def degree_counts_in_level(tree: RecursiveTree, k: int) -> LevelDegreeProfile:
 
     An empty level yields empty counts with ``level_size`` 0.
     """
-    degrees = tree.degree[tree.level == k]
-    values, counts = np.unique(degrees, return_counts=True)
+    degrees = tree.degree[tree.in_level(k)]
+    binned = np.bincount(degrees)
     return LevelDegreeProfile(
         k=int(k),
-        counts={int(d): int(c) for d, c in zip(values, counts)},
+        counts={int(d): int(binned[d]) for d in np.flatnonzero(binned)},
         level_size=int(degrees.size),
     )
 
 
 def degree_histogram(tree: RecursiveTree) -> dict[int, int]:
     """Degree -> node count over the whole tree; values sum to ``n``."""
-    binned = np.bincount(tree.degree)
-    return {int(d): int(c) for d, c in enumerate(binned) if c > 0}
+    binned = np.bincount(_writable(tree.degree))
+    return {int(d): int(binned[d]) for d in np.flatnonzero(binned)}
 
 
 def max_degree(tree: RecursiveTree) -> int:

@@ -1,10 +1,13 @@
 """Growth and storage of random recursive trees.
 
-A tree on nodes ``0..n-1`` is held as three flat arrays: ``parent`` (int64,
-``parent[0] == -1``), ``degree`` (int32, the parent edge counts toward a
-node's degree; the root's degree is its child count) and ``level`` (int32,
-distance from the root).  Node ``i`` always attaches to a node with smaller
-index, so ``parent[i] < i``.
+A tree on nodes ``0..n-1`` stores one flat array, ``parent`` (int64,
+``parent[0] == -1``).  Node ``i`` always attaches to a node with smaller
+index, so ``parent[i] < i``.  Two more arrays are derived on first read and
+cached: ``degree`` (int64; the parent edge counts toward a node's degree,
+and the root's degree is its child count) and ``level`` (int32, distance
+from the root).  Level 1, the root's children, is read off ``parent``
+without deriving levels (:meth:`RecursiveTree.in_level`).  Every array a
+tree hands out is read-only.
 
 Two growth models are supported:
 
@@ -34,6 +37,7 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -42,9 +46,9 @@ from .errors import ResourceGuardError
 from .rng import check_seed, generator
 
 DETERMINISTIC = "deterministic"
-# peak RSS per node of grow() (parents, degrees and levels) over a 30-MiB
-# interpreter, at 10^6 and 4 x 10^6 nodes: 27 and 22 bytes for either model,
-# reached while degrees are counted (int64 parents and counts, int32 copy)
+# peak RSS per node over a 30-MiB interpreter, at 10^6 and 4 x 10^6 nodes:
+# grow() 22 and 18 bytes (uniform; its draws) or 15 and 10 (preferential),
+# then 27 and 22 for either model once degrees and levels are read
 GROWTH_BYTES_PER_NODE = 32
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of the level pass
@@ -74,35 +78,62 @@ class GrowthModel(Enum):
         return 2 if self is GrowthModel.PREFERENTIAL else 1
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, copied first unless it is a writable array
+    of its own: the view's ``base`` is then ``a``, which :func:`_writable`
+    gives back to ``np.bincount``.  That copies any read-only input (1.3 ms
+    and 7.6 MiB per call at 10^6 nodes)."""
+    if a.base is not None or not a.flags.writeable:
+        a = a.copy()
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def _writable(view: np.ndarray) -> np.ndarray:
+    """The writable array beneath a view made by :func:`_frozen`, for counting."""
+    return view if view.flags.writeable or view.base is None else view.base
+
+
 @dataclass(frozen=True)
 class RecursiveTree:
     """A grown recursive tree plus the provenance needed to regrow it.
 
     ``seed`` is the 64-bit integer passed to :func:`grow`, or the string
     ``"deterministic"`` for trees built from an explicit parent sequence.
+    ``degree`` and ``level`` are derived when first read.
     """
 
-    n: int
     parent: np.ndarray
-    degree: np.ndarray
-    level: np.ndarray
     model: GrowthModel
     seed: Union[int, str]
 
     def __post_init__(self):
-        self.parent.setflags(write=False)
-        self.degree.setflags(write=False)
-        self.level.setflags(write=False)
+        object.__setattr__(self, "parent", _frozen(self.parent))
+
+    @property
+    def n(self) -> int:
+        return self.parent.shape[0]
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        return _frozen(_degrees_from_parents(_writable(self.parent)))
+
+    @cached_property
+    def level(self) -> np.ndarray:
+        return _frozen(_levels_from_parents(self.parent))
+
+    def in_level(self, k: int) -> np.ndarray:
+        """Mask of the level-``k`` nodes; level 1 is ``parent == 0``, so it
+        needs no levels."""
+        return self.parent == 0 if k == 1 else self.level == k
 
     def parent_sequence(self) -> np.ndarray:
         """Attachment targets of nodes ``1..n-1`` (length ``n-1``)."""
         return self.parent[1:]
 
     def __repr__(self) -> str:  # arrays are too noisy for repr
-        return (
-            f"RecursiveTree(n={self.n}, model={self.model.name}, "
-            f"seed={self.seed!r})"
-        )
+        return f"RecursiveTree(n={self.n}, model={self.model.name}, seed={self.seed!r})"
 
 
 def _chain_ends(link: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,25 +171,10 @@ def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
 
 
 def _degrees_from_parents(parent: np.ndarray) -> np.ndarray:
-    """Degrees as bincount's int64; :func:`_assemble` stores them as int32.
-
-    Kernels that read degrees once skip that copy, and the one numpy makes
-    when an int32 array is bincounted.
-    """
+    """int64 degrees of a writable parent array, in bincount's own result."""
     degree = np.bincount(parent[1:], minlength=parent.shape[0])
     degree[1:] += 1  # parent edge
     return degree
-
-
-def _assemble(parent: np.ndarray, model: GrowthModel, seed: Union[int, str]) -> RecursiveTree:
-    return RecursiveTree(
-        n=parent.shape[0],
-        parent=parent,
-        degree=_degrees_from_parents(parent).astype(np.int32),
-        level=_levels_from_parents(parent),
-        model=model,
-        seed=seed,
-    )
 
 
 def _uniform_parents(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,13 +214,13 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     return parent
 
 
-def _parents(model: Union[str, GrowthModel], n: int, seed: int) -> np.ndarray:
-    """The parent array :func:`grow` builds, without degrees or levels.
+def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
+    """Grow an ``n``-node tree under ``model`` from a 64-bit ``seed``.
 
-    Callers that read only some derived arrays (the experiment kernels)
-    apply :func:`_degrees_from_parents` or :func:`_levels_from_parents`
-    themselves.  Growth past physical memory at :data:`GROWTH_BYTES_PER_NODE`
-    raises :class:`ResourceGuardError` before anything is allocated.
+    UNIFORM requires ``n >= 1``; PREFERENTIAL starts from the edge
+    ``{0, 1}`` and requires ``n >= 2``.  Growth past physical memory at
+    :data:`GROWTH_BYTES_PER_NODE` raises :class:`ResourceGuardError` before
+    anything is allocated.
     """
     model = GrowthModel.parse(model)
     n = int(n)
@@ -214,18 +230,9 @@ def _parents(model: Union[str, GrowthModel], n: int, seed: int) -> np.ndarray:
     if n * GROWTH_BYTES_PER_NODE > memory:
         raise ResourceGuardError(f"growing {n} nodes needs about {n * GROWTH_BYTES_PER_NODE >> 20}"
                                  f" MiB, more than the {memory >> 20} MiB of physical memory")
+    seed = check_seed(seed)
     sample = _uniform_parents if model is GrowthModel.UNIFORM else _preferential_parents
-    return sample(n, generator(check_seed(seed)))
-
-
-def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
-    """Grow an ``n``-node tree under ``model`` from a 64-bit ``seed``.
-
-    UNIFORM requires ``n >= 1``; PREFERENTIAL starts from the edge
-    ``{0, 1}`` and requires ``n >= 2``.
-    """
-    parent = _parents(model, n, seed)
-    return _assemble(parent, GrowthModel.parse(model), check_seed(seed))
+    return RecursiveTree(sample(n, generator(seed)), model, seed)
 
 
 def _parent_array(seq: np.ndarray) -> np.ndarray:
@@ -252,7 +259,7 @@ def grow_from_sequence(
     ``"deterministic"`` seed marker.
     """
     parent = _parent_array(np.asarray(list(parents), dtype=np.int64))
-    return _assemble(parent, GrowthModel.parse(model), DETERMINISTIC)
+    return RecursiveTree(parent, GrowthModel.parse(model), DETERMINISTIC)
 
 
 def validate(tree: RecursiveTree) -> list[str]:
@@ -264,14 +271,15 @@ def validate(tree: RecursiveTree) -> list[str]:
     n = tree.n
     if n < 1:
         return [f"node count must be >= 1, got {n}"]
-    for name, arr in (("parent", tree.parent), ("degree", tree.degree), ("level", tree.level)):
+    if tree.parent.shape != (n,):
+        return [f"parent array has shape {tree.parent.shape}, expected ({n},)"]
+    seq = tree.parent[1:]
+    if tree.parent[0] != -1 or ((seq < 0) | (seq >= np.arange(1, n))).any():
+        # degrees and levels are derived from valid parents only
+        return ["parent[0] must be -1 and parent[i] must lie in {0..i-1} for every i >= 1"]
+    for name, arr in (("degree", tree.degree), ("level", tree.level)):
         if arr.shape != (n,):
             return [f"{name} array has shape {arr.shape}, expected ({n},)"]
-
-    if n > 1:
-        seq = tree.parent[1:]
-        if ((seq < 0) | (seq >= np.arange(1, n))).any():
-            problems.append("parent[i] must lie in {0..i-1} for every i >= 1")
 
     if tree.level[0] != 0:
         problems.append(f"root level must be 0, got {int(tree.level[0])}")
@@ -283,7 +291,7 @@ def validate(tree: RecursiveTree) -> list[str]:
                 f"level[{bad}]={int(tree.level[bad])} != level[parent]+1={int(expected[bad - 1])}"
             )
 
-    recomputed = _degrees_from_parents(tree.parent)
+    recomputed = _degrees_from_parents(_writable(tree.parent))
     if (tree.degree != recomputed).any():
         bad = int(np.nonzero(tree.degree != recomputed)[0][0])
         problems.append(
@@ -342,4 +350,4 @@ def load_tree(path) -> RecursiveTree:
         raw = fh.read(body)
     model = GrowthModel(tag & ~_DETERMINISTIC_FLAG)
     stored: Union[int, str] = DETERMINISTIC if tag & _DETERMINISTIC_FLAG else int(seed)
-    return _assemble(_parent_array(np.frombuffer(raw, dtype="<u4")), model, stored)
+    return RecursiveTree(_parent_array(np.frombuffer(raw, dtype="<u4")), model, stored)

@@ -7,6 +7,7 @@ import pytest
 
 from urtlab.cli import cli_main
 from urtlab import experiments, moments
+from urtlab import tree as tree_module
 from urtlab.tree import load_tree
 
 
@@ -288,7 +289,6 @@ def test_bounds_past_the_work_guard_exits_2(capsys):
 ])
 def test_growth_past_physical_memory_exits_2_before_allocating(capsys, monkeypatch, argv):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)  # the last case uses a pool
-    monkeypatch.delenv("URT_THREADS", raising=False)
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, *argv)
@@ -360,20 +360,10 @@ def test_experiment_file_omits_execution_settings(tmp_path, capsys):
 
 def test_experiment_echo_shows_the_clamped_worker_count(capsys, monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    monkeypatch.delenv("URT_THREADS", raising=False)
     code, _, err = run_cli(capsys, "experiment", "max_degree", "--n", "50", "--reps", "4",
                            "--seed", "1", "--workers", "1000000")
     assert code == 0
     assert '"workers": 1, "format": "json"' in err
-
-
-def test_worker_env_that_is_not_an_integer_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("URT_THREADS", "abc")
-    code, out, err = run_cli(capsys, "experiment", "level_sizes", "--n", "100", "--reps", "4",
-                             "--seed", "1")
-    assert code == 1 and out == ""
-    assert err.count("error:") == 1 and "Traceback" not in err
-    assert "URT_THREADS must be an integer, got 'abc'" in err
 
 
 def test_experiment_csv_to_stdout(capsys):
@@ -483,3 +473,35 @@ def test_experiment_refuses_a_dmax_past_every_degree_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.count("error:") == 1 and "exceeds the largest n=10" in err
+
+
+@pytest.mark.parametrize("experiment", ["level_exceedance", "first_level_degrees"])
+def test_level_experiments_refuse_one_node_before_simulating(capsys, monkeypatch, experiment):
+    """The references start at n = 2; every n = 10^5 replication used to run first."""
+    calls = []
+    kernel = f"_kernel_{experiment}"
+    monkeypatch.setattr(experiments, kernel, lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "experiment", experiment, "--n", "100000,1", "--reps", "4",
+                             "--seed", "1", "--workers", "1")
+    assert code == 1 and out == "" and calls == []
+    assert err.count("error:") == 1 and "needs n >= 2, got 1" in err and "Traceback" not in err
+
+
+def test_level_one_statistics_never_derive_levels(capsys, monkeypatch):
+    """Level 1 is read off the parents; degree laws and fixed points need no levels."""
+    def refuse(parent):
+        raise AssertionError("levels were derived")
+
+    monkeypatch.setattr(tree_module, "_levels_from_parents", refuse)
+    for argv in (("experiment", "first_level_degrees", "--n", "500"),
+                 ("experiment", "level_exceedance", "--n", "500", "--k", "1", "--t", "0.3,0.6"),
+                 ("experiment", "degree_distribution", "--n", "500"),
+                 ("experiment", "degree_distribution", "--n", "500", "--model", "preferential"),
+                 ("experiment", "max_degree", "--n", "1,500")):
+        code, _, err = run_cli(capsys, *argv, "--reps", "4", "--seed", "1", "--workers", "1")
+        assert code == 0 and "error" not in err, argv
+    code, out, err = run_cli(capsys, "enumerate", "--n", "6", "--statistic", "fixed_points")
+    assert code == 0 and json.loads(out)["expectation"] == "1/1"
+    with pytest.raises(AssertionError, match="levels were derived"):
+        run_cli(capsys, "experiment", "level_exceedance", "--n", "500", "--k", "2", "--reps", "1",
+                "--seed", "1", "--workers", "1")

@@ -114,7 +114,6 @@ def test_tail_vs_bound_makes_one_engine_call_per_case(monkeypatch):
 def test_a_run_opens_at_most_one_pool(monkeypatch):
     """Two workers over a multi-n grid share one pool; tail_vs_bound opens none."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.delenv("URT_THREADS", raising=False)
     created = []
     init = multiprocessing.pool.Pool.__init__
 

@@ -76,25 +76,13 @@ def test_reports_are_bit_reproducible_across_worker_counts():
     assert r1.canonical_bytes() == r3.canonical_bytes()
 
 
-def test_env_var_overrides_worker_count(monkeypatch):
-    monkeypatch.setenv("URT_THREADS", "2")
-    r1 = run_experiment(small_config(workers=1))
-    monkeypatch.delenv("URT_THREADS")
-    r2 = run_experiment(small_config(workers=1))
-    assert r1.canonical_bytes() == r2.canonical_bytes()
-
-
 def test_worker_count_is_clamped_to_cpus_and_replications(monkeypatch):
     """Only resolves the count: no pool is started with the huge request."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
-    monkeypatch.delenv("URT_THREADS", raising=False)
     assert resolve_workers(10**6) == 3
     assert resolve_workers(10**6, 2) == 2
     assert resolve_workers(None, 100) == 3
     assert resolve_workers(0, 100) == 1
-    monkeypatch.setenv("URT_THREADS", str(10**6))
-    assert resolve_workers(1, 100) == 3
-    assert resolve_workers(1, 2) == 2
 
 
 def test_report_echoes_only_the_fields_the_experiment_reads():

@@ -16,13 +16,13 @@ from urtlab import (
     expected_children,
     expected_exceedance_count,
     expected_level_size,
+    grow,
     level_pmf,
 )
 from urtlab import oracle
 from urtlab.oracle import child_count_tails, node_level_probabilities, tree_count
 from urtlab.rng import derive_seed
 from urtlab.stats import exceedance_count
-from urtlab.tree import _parents
 
 
 def test_enumeration_counts():
@@ -464,7 +464,7 @@ def _binomial_acceptance(reps, p, alpha):
 def test_degree_tails_at_a_million_against_grown_trees():
     """Monte Carlo cross-check of the blocked tails and heads at n = 10^6.
 
-    Each tree on n + 1 nodes, grown by ``tree._parents``, gives one draw of
+    Each tree on n + 1 nodes, grown by ``grow``, gives one draw of
     node i's child count X over steps i+1..n.  The number of trees with
     X > threshold (tail) or X <= threshold (head) is then Binomial(reps, p)
     with p the oracle's value, and each check accepts the interval that
@@ -476,7 +476,7 @@ def test_degree_tails_at_a_million_against_grown_trees():
              (3981, 4.1, degree_head), (3981, 6.9, degree_tail), (10**5, 2.5, degree_head)]
     hits = [0] * len(cases)
     for r in range(reps):
-        parent = _parents("uniform", n + 1, derive_seed(2024, r))
+        parent = grow("uniform", n + 1, derive_seed(2024, r)).parent
         for c, (i, threshold, law) in enumerate(cases):
             above = np.count_nonzero(parent == i) > threshold
             hits[c] += above == (law is degree_tail)

@@ -191,20 +191,20 @@ def test_grow_from_sequence_rejects_forward_references():
 
 
 def test_validate_reports_level_tampering():
-    t = grow_from_sequence([0, 0, 1])
-    level = t.level.copy()
+    bad = grow_from_sequence([0, 0, 1])
+    level = bad.level.copy()
     level[2] = 5
-    bad = RecursiveTree(t.n, t.parent, t.degree, level, t.model, t.seed)
+    bad.__dict__["level"] = level  # the derived-array cache
     problems = validate(bad)
     assert len(problems) == 1
     assert "level" in problems[0]
 
 
 def test_validate_reports_degree_tampering():
-    t = grow_from_sequence([0, 0, 1])
-    degree = t.degree.copy()
+    bad = grow_from_sequence([0, 0, 1])
+    degree = bad.degree.copy()
     degree[0] += 2  # breaks both the recount and the handshake sum
-    bad = RecursiveTree(t.n, t.parent, degree, t.level, t.model, t.seed)
+    bad.__dict__["degree"] = degree  # the derived-array cache
     problems = validate(bad)
     assert any("degree" in p for p in problems)
     assert any("2(n-1)" in p for p in problems)
@@ -324,3 +324,17 @@ def test_trees_are_immutable():
     t = grow("uniform", 10, 3)
     with pytest.raises(ValueError):
         t.parent[1] = 5
+
+
+def test_derived_arrays_are_cached_read_only_and_owned():
+    """Degrees stay bincount's int64, with no copy; levels are int32."""
+    t = grow("uniform", 1000, 3)
+    assert t.degree is t.degree and t.level is t.level
+    assert t.degree.dtype == np.int64 and t.level.dtype == np.int32
+    for arr in (t.parent, t.degree, t.level):
+        with pytest.raises(ValueError):
+            arr[1] = 5
+    # built on another tree's read-only parents, a tree copies them to count from
+    again = RecursiveTree(t.parent, t.model, t.seed)
+    assert not np.shares_memory(again.parent, t.parent)
+    assert np.array_equal(again.degree, t.degree) and np.array_equal(again.level, t.level)
