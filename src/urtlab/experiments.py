@@ -14,11 +14,14 @@ kernel's arguments at each ``n`` and a row builder that turns the
 ``(replications x columns)`` table at that ``n`` into report rows;
 ``tail_vs_bound`` has no kernel, as its rows are exact.  When
 ``workers > 1`` the driver opens one process pool for the whole run, and
-only if there is a kernel.  A kernel grows one tree with
-:func:`urtlab.tree.grow`, reads its statistic from :mod:`urtlab.stats`
-and packs the result into a tuple.  The tree derives degrees and levels
-only when a statistic first reads them, so a level-1 kernel never
-computes levels, which matters at ``n = 10^6``.
+only if there is a kernel.  A kernel makes one :mod:`urtlab.stats` call
+and packs the result into a tuple.  The four level kernels
+(``level_exceedance``, ``first_level_degrees``, ``level_sizes`` and
+``higher_level_small_degree``) call the streamed level statistics, which
+read the draws of ``grow("uniform", n, seed)`` a block at a time and hold
+one byte of level per node, never the tree's length-``n`` arrays;
+``degree_distribution`` and ``max_degree`` need every degree, so they
+grow the tree with :func:`urtlab.tree.grow`.
 
 :data:`READS` lists the config fields each experiment reads beyond the
 grid, replication count and seed; the report echoes exactly those.  Only
@@ -49,8 +52,8 @@ from . import oracle
 from .moments import EXACT_MOMENT_MAX_N, ExponentVector, MomentTable, factorial_moments_float
 from .oracle import _degree_law_sums
 from .rng import check_seed, derive_seed
-from .stats import (degree_counts_in_level, degree_histogram, exceedance_threshold, level_sizes,
-                    max_degree)
+from .stats import (degree_histogram, exceedance_threshold, max_degree, streamed_level_profiles,
+                    streamed_level_sizes)
 from .tree import GrowthModel, grow
 
 SCHEMA = "urt-report/1"
@@ -281,10 +284,10 @@ def _clean(x):
 
 def _kernel_level_exceedance(cfg, seed):
     n, ks, ts = cfg
-    tree = grow("uniform", n, seed)
+    profiles = streamed_level_profiles(n, seed, ks)
     out = []
     for k in ks:
-        profile = degree_counts_in_level(tree, k)
+        profile = profiles[k]
         size = profile.level_size
         for t in ts:
             num = profile.exceeding(exceedance_threshold(n, t))
@@ -330,7 +333,7 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_first_level_degrees(cfg, seed):
     n, d_max = cfg
-    counts = degree_counts_in_level(grow("uniform", n, seed), 1).counts
+    counts = streamed_level_profiles(n, seed, (1,))[1].counts
     return tuple(counts.get(d, 0) for d in range(1, d_max + 1))
 
 
@@ -455,8 +458,8 @@ def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_level_sizes(cfg, seed):
     n, ks = cfg
-    sizes = level_sizes(grow("uniform", n, seed))
-    return tuple(float(sizes[k]) if k < sizes.size else 0.0 for k in ks)
+    sizes = streamed_level_sizes(n, seed, max(ks))
+    return tuple(float(sizes[k]) for k in ks)
 
 
 def _level_scale(n: int, k: int) -> float:
@@ -525,10 +528,10 @@ def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
 
 def _kernel_higher_level(cfg, seed):
     n, ks, d_max = cfg
-    tree = grow("uniform", n, seed)
+    profiles = streamed_level_profiles(n, seed, ks + tuple(k - 1 for k in ks))
     out = []
     for k in ks:
-        below, level_k = (degree_counts_in_level(tree, j) for j in (k - 1, k))
+        below, level_k = profiles[k - 1], profiles[k]
         out.extend(float(level_k.counts.get(d, 0)) for d in range(1, d_max + 1))
         out.extend((float(below.level_size), float(level_k.level_size)))
     return tuple(out)

@@ -342,7 +342,10 @@ def factorial_moments_float(n: int, targets: Iterable[VectorLike]) -> dict[Expon
         for weight, moved in moves:
             step[pos, moved] += weight
     row = np.array([float(_base_value(v)) for v, _, _ in plan])
+    moved = np.empty_like(row)  # one buffer for every step's (B @ row) / m
     for m in range(2, n):
-        row += (step @ row) / m
+        np.dot(step, row, out=moved)
+        moved /= m
+        row += moved
     index = {v: pos for pos, (v, _, _) in enumerate(plan)}
     return {t: float(row[index[t]]) for t in wanted}

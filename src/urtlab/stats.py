@@ -1,20 +1,36 @@
 """Observables of a grown tree: level sizes, degree histograms, per-level
 degree counts and the fraction of high-degree nodes per level.
 
-The experiment kernels call these on the trees they grow.  Level-1
-statistics never derive levels.  All functions are pure and never mutate
-the tree, so they are safe to call concurrently.
+Most functions read a :class:`~urtlab.tree.RecursiveTree`; level-1
+statistics never derive its levels.  The level statistics also come
+streamed: :func:`streamed_level_profiles` and :func:`streamed_level_sizes`
+read the uniform tree ``grow("uniform", n, seed)`` would hold from the same
+draws, one block at a time, without ever holding its length-``n`` arrays.
+Nodes are born in order, so a node's level is its parent's plus one, and a
+level array capped at ``max(k) + 1`` (one byte per node) is all the state
+that grows with ``n``.  A degree profile then needs the ids of the level's
+nodes and the parents of the next level's, which the same pass collects.
+The streamed and tree-read statistics share one reduction, so their
+results are equal.  All functions are pure and never mutate a tree, so
+they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EmptyLevelError
-from .tree import RecursiveTree, _writable
+from .rng import generator
+from .tree import _LEVEL_BLOCK, RecursiveTree, _chain_ends, _guard_memory, _uniform_blocks, _writable
+
+# peak RSS per node over a 30-MiB interpreter of the streamed statistics with
+# 1-byte levels, at 10^6 and 4 x 10^6 nodes: 7.9 and 2.8 bytes, of which
+# 1.0 grows with n and the rest is a fixed 6 MiB
+STREAM_BYTES_PER_NODE = 3
 
 
 @dataclass(frozen=True)
@@ -42,8 +58,16 @@ class LevelDegreeProfile:
 
 
 def level_sizes(tree: RecursiveTree) -> np.ndarray:
-    """Node count per level, indexed by level; entries sum to ``n``."""
-    return np.bincount(tree.level)
+    """Node count per level, indexed by level; entries sum to ``n``.
+
+    Counted a block at a time: ``bincount`` casts the int32 levels to an
+    int64 copy, which over the whole tree is 8 bytes per node.
+    """
+    level = tree.level
+    sizes = np.zeros(int(level.max()) + 1, dtype=np.int64)
+    for start in range(0, tree.n, _LEVEL_BLOCK):
+        sizes += np.bincount(level[start:start + _LEVEL_BLOCK], minlength=sizes.size)
+    return sizes
 
 
 def exceedance_threshold(n: int, t: float) -> float:
@@ -83,13 +107,77 @@ def degree_counts_in_level(tree: RecursiveTree, k: int) -> LevelDegreeProfile:
 
     An empty level yields empty counts with ``level_size`` 0.
     """
-    degrees = tree.degree[tree.in_level(k)]
+    return _profile(k, tree.degree[tree.in_level(k)])
+
+
+def _profile(k: int, degrees: np.ndarray) -> LevelDegreeProfile:
+    """The profile of level ``k`` from the int64 degrees of its nodes."""
     binned = np.bincount(degrees)
     return LevelDegreeProfile(
         k=int(k),
         counts={int(d): int(binned[d]) for d in np.flatnonzero(binned)},
         level_size=int(degrees.size),
     )
+
+
+def _streamed_levels(n: int, seed: int, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(start, parent, levels)`` per block of uniform growth from ``seed``:
+    the block's parents, and the node levels with the block's written.
+
+    Levels are capped at ``cap``: the value ``cap`` stands for every level
+    from ``cap`` on.  They live in the smallest unsigned dtype that holds
+    ``cap`` and are capped in a wider type before they are stored, so no
+    level wraps.  With ``cap <= 2`` level 1 is ``parent == 0`` and every
+    other node reads ``cap``; past it :func:`urtlab.tree._chain_ends` leads
+    each node of a block out of it, as the level pass does.  Growth past
+    physical memory at :data:`STREAM_BYTES_PER_NODE` per byte of level
+    raises before anything is allocated.
+    """
+    dtype = np.min_scalar_type(cap)
+    _guard_memory(n, STREAM_BYTES_PER_NODE * dtype.itemsize)
+    levels = np.zeros(n, dtype=dtype)
+    for start, parent in _uniform_blocks(n, generator(seed)):
+        stop = start + parent.size
+        if cap > 2:
+            end, hops = _chain_ends(parent.copy(), start)
+            levels[start:stop] = np.minimum(levels[end] + hops, cap)
+        else:
+            levels[start:stop] = np.where(parent == 0, 1, cap)
+        yield start, parent, levels
+
+
+def streamed_level_profiles(n: int, seed: int, ks: Iterable[int]) -> dict[int, LevelDegreeProfile]:
+    """Degree profiles of levels ``ks`` of ``grow("uniform", n, seed)``, streamed.
+
+    Equal to ``degree_counts_in_level(grow("uniform", n, seed), k)`` for
+    each ``k``.  One pass collects the ids of each level-``k`` node and the
+    parents of each level-``(k+1)`` node; a level-``k`` node's degree is its
+    child count, plus its parent edge for ``k >= 1``.
+    """
+    ks = sorted({int(k) for k in ks})
+    own = {k: [np.arange(1 if k == 0 else 0)] for k in ks}  # the root is level 0
+    kids = {k: [np.empty(0, dtype=np.int64)] for k in ks}
+    for start, parent, levels in _streamed_levels(n, seed, ks[-1] + 1):
+        level, up = levels[start:start + parent.size], levels[parent]
+        for k in ks:
+            own[k].append(np.flatnonzero(level == k) + start)
+            kids[k].append(parent[up == k])
+    profiles = {}
+    for k in ks:
+        ids = np.concatenate(own[k])
+        children = np.bincount(np.searchsorted(ids, np.concatenate(kids[k])), minlength=ids.size)
+        profiles[k] = _profile(k, children + (k > 0))
+    return profiles
+
+
+def streamed_level_sizes(n: int, seed: int, top: int) -> np.ndarray:
+    """Sizes of levels ``0..top`` of ``grow("uniform", n, seed)``, streamed;
+    levels past the tree's height read 0."""
+    sizes = np.zeros(top + 2, dtype=np.int64)
+    sizes[0] = 1
+    for start, parent, levels in _streamed_levels(n, seed, top + 1):
+        sizes += np.bincount(levels[start:start + parent.size], minlength=top + 2)
+    return sizes[:top + 1]
 
 
 def degree_histogram(tree: RecursiveTree) -> dict[int, int]:

@@ -20,12 +20,15 @@ Two growth models are supported:
   list is never built: each entry is a node index or a copy of an earlier
   parent.
 
-Copied parents and levels are both chains of links to earlier nodes, and
-both come from one forward pass over blocks of nodes: since
-``parent[i] < i``, everything before a block is final, and pointer jumping
-over the block's own links leads each of its nodes out of it.  That costs
-O(n) on uniform trees and O(n log block) at worst (a path), and holds only
-block-sized arrays beside the result.
+Both models draw their picks one block of nodes at a time; uniform
+blocks come from :func:`_uniform_blocks`, which :mod:`urtlab.stats` also
+reads to stream level statistics without building the tree.  Copied
+parents and levels are both chains of links to earlier nodes, and both
+come from one forward pass over blocks of nodes: since ``parent[i] < i``,
+everything before a block is final, and pointer jumping over the block's
+own links leads each of its nodes out of it.  That costs O(n) on uniform
+trees and O(n log block) at worst (a path), and holds only block-sized
+arrays beside the result.
 
 Growth is deterministic given ``(model, n, seed)``.  Trees are immutable
 after growth and safe to share across processes.
@@ -38,7 +41,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -47,11 +50,11 @@ from .rng import check_seed, generator
 
 DETERMINISTIC = "deterministic"
 # peak RSS per node over a 30-MiB interpreter, at 10^6 and 4 x 10^6 nodes:
-# grow() 22 and 18 bytes (uniform; its draws) or 15 and 10 (preferential),
-# then 27 and 22 for either model once degrees and levels are read
+# grow() 14 and 10 bytes for either model, then 27 and 22 once degrees and
+# levels are read
 GROWTH_BYTES_PER_NODE = 32
 
-_LEVEL_BLOCK = 1 << 14  # nodes per block of the level pass
+_LEVEL_BLOCK = 1 << 14  # nodes per block of uniform draws and of the level pass
 
 _MAGIC = b"URT1"
 _HEADER = struct.Struct("<4sQBQ")  # magic, node count, model tag, seed
@@ -177,11 +180,24 @@ def _degrees_from_parents(parent: np.ndarray) -> np.ndarray:
     return degree
 
 
+def _uniform_blocks(n: int, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, parent[start:stop])`` of uniform growth, one block of
+    :data:`_LEVEL_BLOCK` nodes at a time.
+
+    numpy draws array-bounded integers element by element, so the blocks
+    concatenate to ``rng.integers(0, np.arange(1, n))`` and leave ``rng`` in
+    the same state.
+    """
+    for start in range(1, n, _LEVEL_BLOCK):
+        stop = min(start + _LEVEL_BLOCK, n)
+        yield start, rng.integers(0, np.arange(start, stop), dtype=np.int64)
+
+
 def _uniform_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
-    if n > 1:
-        parent[1:] = rng.integers(0, np.arange(1, n), dtype=np.int64)
+    for start, block in _uniform_blocks(n, rng):
+        parent[start:start + block.size] = block
     return parent
 
 
@@ -214,6 +230,15 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     return parent
 
 
+def _guard_memory(n: int, bytes_per_node: int) -> None:
+    """Raise :class:`ResourceGuardError` when ``n`` nodes at ``bytes_per_node``
+    would pass physical memory; called before anything is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * bytes_per_node > memory:
+        raise ResourceGuardError(f"growing {n} nodes needs about {n * bytes_per_node >> 20}"
+                                 f" MiB, more than the {memory >> 20} MiB of physical memory")
+
+
 def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     """Grow an ``n``-node tree under ``model`` from a 64-bit ``seed``.
 
@@ -226,10 +251,7 @@ def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     n = int(n)
     if n < model.min_nodes:
         raise ValueError(f"{model.name} growth needs n >= {model.min_nodes}, got {n}")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n * GROWTH_BYTES_PER_NODE > memory:
-        raise ResourceGuardError(f"growing {n} nodes needs about {n * GROWTH_BYTES_PER_NODE >> 20}"
-                                 f" MiB, more than the {memory >> 20} MiB of physical memory")
+    _guard_memory(n, GROWTH_BYTES_PER_NODE)
     seed = check_seed(seed)
     sample = _uniform_parents if model is GrowthModel.UNIFORM else _preferential_parents
     return RecursiveTree(sample(n, generator(seed)), model, seed)

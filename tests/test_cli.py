@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from urtlab.cli import cli_main
-from urtlab import experiments, moments
+from urtlab import experiments, moments, stats
 from urtlab import tree as tree_module
 from urtlab.tree import load_tree
 
@@ -488,20 +488,37 @@ def test_level_experiments_refuse_one_node_before_simulating(capsys, monkeypatch
 
 
 def test_level_one_statistics_never_derive_levels(capsys, monkeypatch):
-    """Level 1 is read off the parents; degree laws and fixed points need no levels."""
+    """Level 1 is read off the parents; degree laws and fixed points need no levels.
+
+    The four level kernels stream capped levels, so none of them derives a
+    tree's levels at any k; past k = 1 they walk chains in blocks.
+    """
     def refuse(parent):
         raise AssertionError("levels were derived")
 
+    walks = []
+    chain_ends = stats._chain_ends
+
+    def walk(link, start):
+        walks.append(start)
+        return chain_ends(link, start)
+
     monkeypatch.setattr(tree_module, "_levels_from_parents", refuse)
-    for argv in (("experiment", "first_level_degrees", "--n", "500"),
-                 ("experiment", "level_exceedance", "--n", "500", "--k", "1", "--t", "0.3,0.6"),
-                 ("experiment", "degree_distribution", "--n", "500"),
-                 ("experiment", "degree_distribution", "--n", "500", "--model", "preferential"),
-                 ("experiment", "max_degree", "--n", "1,500")):
+    monkeypatch.setattr(stats, "_chain_ends", walk)
+    for argv, walked in ((("experiment", "first_level_degrees", "--n", "500"), False),
+                         (("experiment", "level_exceedance", "--n", "500", "--k", "1",
+                           "--t", "0.3,0.6"), False),
+                         (("experiment", "degree_distribution", "--n", "500"), False),
+                         (("experiment", "degree_distribution", "--n", "500",
+                           "--model", "preferential"), False),
+                         (("experiment", "max_degree", "--n", "1,500"), False),
+                         (("experiment", "level_exceedance", "--n", "500", "--k", "2"), True),
+                         (("experiment", "level_sizes", "--n", "500", "--k", "0,1,2"), True),
+                         (("experiment", "higher_level_small_degree", "--n", "500",
+                           "--k", "2,3"), True)):
+        walks.clear()
         code, _, err = run_cli(capsys, *argv, "--reps", "4", "--seed", "1", "--workers", "1")
         assert code == 0 and "error" not in err, argv
+        assert bool(walks) == walked, argv
     code, out, err = run_cli(capsys, "enumerate", "--n", "6", "--statistic", "fixed_points")
     assert code == 0 and json.loads(out)["expectation"] == "1/1"
-    with pytest.raises(AssertionError, match="levels were derived"):
-        run_cli(capsys, "experiment", "level_exceedance", "--n", "500", "--k", "2", "--reps", "1",
-                "--seed", "1", "--workers", "1")

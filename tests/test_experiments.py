@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from urtlab import (
     ExperimentConfig,
     ExperimentReport,
+    degree_counts_in_level,
     expected_exceedance_count,
     expected_level_size,
     grow,
     high_degree_fraction,
+    level_sizes,
     run_experiment,
 )
 from urtlab import experiments
@@ -25,6 +28,8 @@ from urtlab.experiments import (
     total_variation_to_poisson1,
 )
 from urtlab.rng import derive_seed
+from urtlab.stats import exceedance_threshold
+from urtlab.tree import _LEVEL_BLOCK
 
 
 def small_config(**overrides):
@@ -273,3 +278,56 @@ def test_report_serialization_round_trip(tmp_path):
     assert csv_text.startswith("# schema: urt-report/1")
     header = csv_text.splitlines()[1]
     assert header.split(",")[:3] == ["n", "k", "t"]
+
+
+B = _LEVEL_BLOCK
+STREAM_KS, STREAM_TS, STREAM_DMAX = (1, 2, 3), (0.3, 0.5), 6
+
+
+def _grown_kernel_tuples(n, seed):
+    """The four level kernels' tuples, from ``grow()`` and the tree statistics."""
+    tree = grow("uniform", n, seed)
+    profiles = {k: degree_counts_in_level(tree, k) for k in range(max(STREAM_KS) + 1)}
+    exceedance = []
+    for k in STREAM_KS:
+        size = profiles[k].level_size
+        for t in STREAM_TS:
+            num = profiles[k].exceeding(exceedance_threshold(n, t))
+            exceedance.extend((float(num), float(size), num / size if size else float("nan")))
+    first = [profiles[1].counts.get(d, 0) for d in range(1, STREAM_DMAX + 1)]
+    sizes = level_sizes(tree)
+    by_level = [float(sizes[k]) if k < sizes.size else 0.0 for k in (0,) + STREAM_KS]
+    higher = []
+    for k in STREAM_KS[1:]:
+        higher.extend(float(profiles[k].counts.get(d, 0)) for d in range(1, STREAM_DMAX + 1))
+        higher.extend((float(profiles[k - 1].level_size), float(profiles[k].level_size)))
+    return exceedance, first, by_level, higher
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 1000, B - 1, B, B + 1, 3 * B + 7, 100_000])
+def test_streamed_kernels_match_grown_trees_across_block_edges(n):
+    """The streamed level kernels read the draws ``grow()`` makes, block by block."""
+    for seed in (0, 7, 2**63, 2**64 - 1):
+        exceedance, first, by_level, higher = _grown_kernel_tuples(n, seed)
+        assert np.array_equal(
+            experiments._kernel_level_exceedance((n, STREAM_KS, STREAM_TS), seed), exceedance,
+            equal_nan=True)
+        assert experiments._kernel_first_level_degrees((n, STREAM_DMAX), seed) == tuple(first)
+        assert experiments._kernel_level_sizes((n, (0,) + STREAM_KS), seed) == tuple(by_level)
+        assert experiments._kernel_higher_level((n, STREAM_KS[1:], STREAM_DMAX), seed) == tuple(higher)
+
+
+@pytest.mark.parametrize("kernel, cfg", [
+    ("_kernel_first_level_degrees", (10**6, 6)),
+    ("_kernel_level_exceedance", (10**6, (2,), (0.5,))),
+])
+def test_streamed_kernels_hold_no_length_n_int64_array(kernel, cfg):
+    """Growing the tree peaked at 22.9 MiB at 10^6 nodes; the streamed kernels
+    hold a 1-byte level per node and block-sized arrays."""
+    tracemalloc.start()
+    try:
+        getattr(experiments, kernel)(cfg, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from urtlab import (
     level_sizes,
     max_degree,
 )
+from urtlab import stats
+from urtlab.tree import _LEVEL_BLOCK
 
 
 def random_parent_sequences(max_n=40):
@@ -136,3 +139,31 @@ def test_fraction_consistent_with_profile(seq, t):
     assert exceedance_count(tree, 1, t) == manual
     if profile.level_size:
         assert high_degree_fraction(tree, 1, t) == manual / profile.level_size
+
+
+def test_level_sizes_count_blocks_without_an_int64_copy():
+    """bincount casts int32 levels to an int64 copy: 7.6 MiB at 10^6 nodes."""
+    tree = grow("uniform", 10**6, 2)
+    tree.level
+    tracemalloc.start()
+    try:
+        sizes = level_sizes(tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert np.array_equal(sizes, np.bincount(tree.level.astype(np.int64)))
+
+
+def test_streamed_levels_past_one_byte_never_wrap(monkeypatch):
+    """A path is as deep as a tree gets: its levels pass every cap, and caps
+    past 255 need two bytes per node."""
+    n = 3 * _LEVEL_BLOCK + 7
+    path = np.arange(-1, n - 1)
+    monkeypatch.setattr(stats, "_uniform_blocks", lambda n, rng: (
+        (start, path[start:start + _LEVEL_BLOCK].copy()) for start in range(1, n, _LEVEL_BLOCK)))
+    tree = grow_from_sequence(path[1:])
+    for ks in ((1,), (1, 2), (0, 254, 255), (255, 256, 300)):
+        profiles = stats.streamed_level_profiles(n, 0, ks)
+        assert profiles == {k: degree_counts_in_level(tree, k) for k in ks}
+        assert list(stats.streamed_level_sizes(n, 0, max(ks))) == [1] * (max(ks) + 1)

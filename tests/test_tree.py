@@ -239,6 +239,18 @@ def _shape(name, n):
     return parent
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1000, B - 1, B, B + 1, 3 * B + 7, 100_000])
+def test_blocked_uniform_parents_are_the_whole_draw(n):
+    """Blocks of draws concatenate to one draw and leave the generator where it would."""
+    for seed in (0, 7, 2**63, 2**64 - 1):
+        blocked, whole = generator(seed), generator(seed)
+        parent = _uniform_parents(n, blocked)
+        assert parent[0] == -1
+        assert np.array_equal(parent[1:], whole.integers(0, np.arange(1, n), dtype=np.int64))
+        assert blocked.integers(0, 2**63, size=4).tolist() == whole.integers(0, 2**63, size=4).tolist()
+        assert repr(blocked.bit_generator.state) == repr(whole.bit_generator.state)
+
+
 @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 7])
 def test_levels_match_the_sequential_reference_on_uniform_trees(n):
     for seed in (0, 11):
