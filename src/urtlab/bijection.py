@@ -40,12 +40,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, position: int) -> int:
-        """Value at one-indexed ``position``."""
-        if not 1 <= position <= self.n:
-            raise IndexError(f"position {position} out of range 1..{self.n}")
-        return self.values[position - 1]
-
     def to_json(self) -> str:
         return json.dumps(list(self.values))
 
@@ -101,7 +95,7 @@ def permutation_to_tree(perm: Union[Permutation, Sequence[int]]) -> RecursiveTre
 
 
 def fixed_points_after_first(perm: Union[Permutation, Sequence[int]]) -> int:
-    """Count positions ``p in 2..n`` with ``perm[p] == p``.
+    """Count the positions ``p in 2..n`` that ``perm`` fixes.
 
     Position 1 is excluded: every image permutation fixes it.
     """

@@ -17,7 +17,7 @@ from . import bounds as bnd
 from . import oracle
 from .bijection import Permutation, fixed_points_after_first, permutation_to_tree, tree_to_permutation
 from .errors import ResourceGuardError
-from .experiments import EXPERIMENT_ALIASES, EXPERIMENTS, ExperimentConfig, resolve_workers, run_experiment
+from .experiments import EXPERIMENT_ALIASES, EXPERIMENTS, ExperimentConfig, run_experiment, run_workers
 from .moments import MomentTable, exact_factorial_moment
 from .stats import degree_counts_in_level, degree_histogram, high_degree_fraction, level_sizes, max_degree
 from .tree import grow, grow_from_sequence, load_tree, save_tree
@@ -46,6 +46,8 @@ def _emit(payload: str, out) -> None:
 
 def _load_input_tree(args):
     if args.infile:
+        if args.n is not None or args.seed is not None:
+            raise ValueError("--in reads the tree's n and seed from the file; drop --n and --seed")
         return load_tree(args.infile)
     if args.n is None or args.seed is None:
         raise ValueError("provide --in FILE, or --model/--n/--seed to grow a tree")
@@ -64,15 +66,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stats(args) -> int:
     tree = _load_input_tree(args)
-    _echo(
-        "stats",
-        {"in": args.infile, "model": args.model, "n": tree.n, "seed": tree.seed,
-         "k": args.k, "t": args.t},
-    )
+    model = tree.model.name.lower()
+    _echo("stats", {"in": args.infile, "model": model, "n": tree.n, "seed": tree.seed,
+                    "k": args.k, "t": args.t})
     sizes = level_sizes(tree)
     payload = {
         "n": tree.n,
-        "model": tree.model.name.lower(),
+        "model": model,
         "seed": tree.seed,
         "level_sizes": [int(c) for c in sizes],
         "degree_histogram": {str(d): c for d, c in degree_histogram(tree).items()},
@@ -202,8 +202,7 @@ def _cmd_experiment(args) -> int:
         eps=args.eps,
         workers=args.workers,
     )
-    workers = resolve_workers(config.workers, config.replications)
-    _echo("experiment", {"id": args.id, **config.to_dict(), "workers": workers,
+    _echo("experiment", {"id": args.id, **config.to_dict(), "workers": run_workers(config),
                          "out": args.out, "format": args.format})
     report = run_experiment(config)
     if args.out:

@@ -9,19 +9,19 @@ replication order, so a report is a pure function of ``(config, seed)``:
 the worker count changes wall time only.
 
 One driver, :func:`_run`, serves all seven experiments.  Each experiment
-supplies a picklable per-replication kernel of ``(args, seed)``, the
-kernel's arguments at each ``n`` and a row builder that turns the
-``(replications x columns)`` table at that ``n`` into report rows;
-``tail_vs_bound`` has no kernel, as its rows are exact.  When
-``workers > 1`` the driver opens one process pool for the whole run, and
-only if there is a kernel.  A kernel makes one :mod:`urtlab.stats` call
-and packs the result into a tuple.  The four level kernels
-(``level_exceedance``, ``first_level_degrees``, ``level_sizes`` and
-``higher_level_small_degree``) call the streamed level statistics, which
-read the draws of ``grow("uniform", n, seed)`` a block at a time and hold
-one byte of level per node, never the tree's length-``n`` arrays;
-``degree_distribution`` and ``max_degree`` need every degree, so they
-grow the tree with :func:`urtlab.tree.grow`.
+supplies a picklable per-replication kernel of ``(config, n, seed)``,
+which reads its settings from the config by name, and a row builder that
+turns the ``(replications x columns)`` table at that ``n`` into report
+rows; ``tail_vs_bound`` has no kernel, as its rows are exact.  ``_run``
+opens one process pool for the whole run when :func:`run_workers`, the
+count the command line echoes, is above 1.  A kernel makes one
+:mod:`urtlab.stats` call and packs the result into a tuple.  The four
+level kernels (``level_exceedance``, ``first_level_degrees``,
+``level_sizes`` and ``higher_level_small_degree``) call the streamed level
+statistics, which read the draws of ``grow("uniform", n, seed)`` a block
+at a time and hold one byte of level per node, never the tree's
+length-``n`` arrays; ``degree_distribution`` and ``max_degree`` need every
+degree, so they grow the tree with :func:`urtlab.tree.grow`.
 
 :data:`READS` lists the config fields each experiment reads beyond the
 grid, replication count and seed; the report echoes exactly those.  Only
@@ -58,6 +58,9 @@ from .tree import GrowthModel, grow
 
 SCHEMA = "urt-report/1"
 ECHOED = ("experiment", "n_grid", "replications", "seed")  # in every report's config echo
+# experiments whose rows are all exact: nothing is simulated, so no pool opens
+EXACT_ONLY = ("tail_vs_bound",)
+POOL_MIN_REPLICATIONS = 4  # fewer replications run in process
 # level_exceedance rows carry exact_numerator up to this n: past it the tails cost
 # ~1 s per point at 10^6, and the benchmark's 5-SE check on the count has no derived rate
 EXACT_NUMERATOR_MAX_N = 10_000
@@ -208,35 +211,42 @@ def resolve_workers(requested: Optional[int], replications: Optional[int] = None
     return max(1, min(wanted, cap))
 
 
-def _replicate(kernel: Callable, cfg: tuple, seeds: list[int], pool, workers: int) -> np.ndarray:
+def run_workers(config: ExperimentConfig) -> int:
+    """Processes that replicate ``config``: 1, in process, when nothing is
+    simulated or there are fewer than :data:`POOL_MIN_REPLICATIONS`
+    replications; otherwise :func:`resolve_workers`.  A pool opens only
+    when this is above 1."""
+    if config.experiment in EXACT_ONLY or config.replications < POOL_MIN_REPLICATIONS:
+        return 1
+    return resolve_workers(config.workers, config.replications)
+
+
+def _replicate(call: Callable, seeds: list[int], pool, workers: int) -> np.ndarray:
     """Per-replication rows, always ordered by replication index."""
-    call = partial(kernel, cfg)
     if pool is None:
         return np.asarray([call(s) for s in seeds])
     return np.asarray(pool.map(call, seeds, chunksize=max(1, len(seeds) // (workers * 8))))
 
 
-def _run(config: ExperimentConfig, kernel: Optional[Callable], kernel_args: Optional[Callable],
+def _run(config: ExperimentConfig, kernel: Optional[Callable],
          summarise: Callable) -> ExperimentReport:
-    """Replicate ``kernel`` at each n of the grid and report the rows.
+    """Replicate ``kernel(config, n, seed)`` at each n of the grid and report the rows.
 
-    ``kernel_args(n)`` is the kernel's first argument at ``n``;
     ``summarise(config, n, table)`` builds the rows at ``n`` from the
     per-replication table, which is ``None`` when there is no kernel and
     nothing is simulated.  Every row ends with the master seed, added here.
     """
     t0 = time.perf_counter()
-    workers = resolve_workers(config.workers, config.replications)
-    parallel = kernel is not None and workers > 1 and config.replications >= 4
+    workers = run_workers(config)
     # replication r has the same seed at every n; derived before the pool
     # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
     seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
     rows = []
-    with get_context().Pool(workers) if parallel else nullcontext() as pool:
+    with get_context().Pool(workers) if workers > 1 else nullcontext() as pool:
         for n in config.n_grid:
             table = None
             if kernel is not None:
-                table = _replicate(kernel, kernel_args(n), seeds, pool, workers)
+                table = _replicate(partial(kernel, config, n), seeds, pool, workers)
             rows.extend({**row, "seed": config.seed} for row in summarise(config, n, table))
     echoed = ECHOED + READS[config.experiment]
     return ExperimentReport(
@@ -282,14 +292,13 @@ def _clean(x):
 # --------------------------------------------------------------------------
 # level exceedance: share of level-k nodes with degree above t*ln(n)
 
-def _kernel_level_exceedance(cfg, seed):
-    n, ks, ts = cfg
-    profiles = streamed_level_profiles(n, seed, ks)
+def _kernel_level_exceedance(config, n, seed):
+    profiles = streamed_level_profiles(n, seed, config.k_grid)
     out = []
-    for k in ks:
+    for k in config.k_grid:
         profile = profiles[k]
         size = profile.level_size
-        for t in ts:
+        for t in config.t_grid:
             num = profile.exceeding(exceedance_threshold(n, t))
             out.extend((float(num), float(size), num / size if size else float("nan")))
     return tuple(out)
@@ -324,17 +333,15 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
     if min(config.k_grid) < 1:
         raise ValueError(f"this experiment needs levels k >= 1, got {config.k_grid}")
     _check_two_nodes(config)
-    return _run(config, _kernel_level_exceedance,
-                lambda n: (n, config.k_grid, config.t_grid), _level_exceedance_rows)
+    return _run(config, _kernel_level_exceedance, _level_exceedance_rows)
 
 
 # --------------------------------------------------------------------------
 # first-level degree counts: Poisson(1) limit and joint factorial moments
 
-def _kernel_first_level_degrees(cfg, seed):
-    n, d_max = cfg
+def _kernel_first_level_degrees(config, n, seed):
     counts = streamed_level_profiles(n, seed, (1,))[1].counts
-    return tuple(counts.get(d, 0) for d in range(1, d_max + 1))
+    return tuple(counts.get(d, 0) for d in range(1, config.d_max + 1))
 
 
 def _poisson1_pmf(m: int) -> float:
@@ -409,17 +416,15 @@ def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
     if config.d_max > 6:
         raise ValueError(f"d_max is capped at 6 for this experiment, got {config.d_max}")
     _check_two_nodes(config)
-    return _run(config, _kernel_first_level_degrees,
-                lambda n: (n, config.d_max), _first_level_degrees_rows)
+    return _run(config, _kernel_first_level_degrees, _first_level_degrees_rows)
 
 
 # --------------------------------------------------------------------------
 # whole-tree degree distribution
 
-def _kernel_degree_distribution(cfg, seed):
-    model, n, d_max = cfg
-    hist = degree_histogram(grow(model, n, seed))
-    return tuple(hist.get(d, 0) / n for d in range(1, d_max + 1))
+def _kernel_degree_distribution(config, n, seed):
+    hist = degree_histogram(grow(config.model, n, seed))
+    return tuple(hist.get(d, 0) / n for d in range(1, config.d_max + 1))
 
 
 def degree_fraction_limit(model: str, d: int) -> float:
@@ -449,17 +454,15 @@ def _check_degree_span(config: ExperimentConfig) -> None:
 def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
     """Empirical degree fractions per (n, d) against the model's limit law."""
     _check_degree_span(config)
-    return _run(config, _kernel_degree_distribution,
-                lambda n: (config.model, n, config.d_max), _degree_distribution_rows)
+    return _run(config, _kernel_degree_distribution, _degree_distribution_rows)
 
 
 # --------------------------------------------------------------------------
 # level sizes versus (ln n)^k / k!
 
-def _kernel_level_sizes(cfg, seed):
-    n, ks = cfg
-    sizes = streamed_level_sizes(n, seed, max(ks))
-    return tuple(float(sizes[k]) for k in ks)
+def _kernel_level_sizes(config, n, seed):
+    sizes = streamed_level_sizes(n, seed, max(config.k_grid))
+    return tuple(float(sizes[k]) for k in config.k_grid)
 
 
 def _level_scale(n: int, k: int) -> float:
@@ -495,14 +498,13 @@ def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
     """
     for n, k in itertools.product(config.n_grid, config.k_grid):
         _level_scale(n, k)
-    return _run(config, _kernel_level_sizes, lambda n: (n, config.k_grid), _level_sizes_rows)
+    return _run(config, _kernel_level_sizes, _level_sizes_rows)
 
 
 # --------------------------------------------------------------------------
 # maximum degree versus log2(n)
 
-def _kernel_max_degree(cfg, seed):
-    (n,) = cfg
+def _kernel_max_degree(config, n, seed):
     # a single node has no edges: its maximum degree reads 0
     return (float(max_degree(grow("uniform", n, seed))) if n > 1 else 0.0,)
 
@@ -520,19 +522,19 @@ def _max_degree_rows(config, n, table):
 
 def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
     """Distribution summary of max degree / log2(n) per n."""
-    return _run(config, _kernel_max_degree, lambda n: (n,), _max_degree_rows)
+    return _run(config, _kernel_max_degree, _max_degree_rows)
 
 
 # --------------------------------------------------------------------------
 # counts of small-degree nodes in levels k >= 2
 
-def _kernel_higher_level(cfg, seed):
-    n, ks, d_max = cfg
+def _kernel_higher_level(config, n, seed):
+    ks = config.k_grid
     profiles = streamed_level_profiles(n, seed, ks + tuple(k - 1 for k in ks))
     out = []
     for k in ks:
         below, level_k = profiles[k - 1], profiles[k]
-        out.extend(float(level_k.counts.get(d, 0)) for d in range(1, d_max + 1))
+        out.extend(float(level_k.counts.get(d, 0)) for d in range(1, config.d_max + 1))
         out.extend((float(below.level_size), float(level_k.level_size)))
     return tuple(out)
 
@@ -565,8 +567,7 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
     if min(config.k_grid) < 2:
         raise ValueError(f"this experiment needs levels k >= 2, got {config.k_grid}")
     _check_degree_span(config)
-    return _run(config, _kernel_higher_level,
-                lambda n: (n, config.k_grid, config.d_max), _higher_level_rows)
+    return _run(config, _kernel_higher_level, _higher_level_rows)
 
 
 # --------------------------------------------------------------------------
@@ -621,7 +622,7 @@ def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
     (``i <= n^(1-t-eps)-1``) against the low-index bound.
     Skipped (t, eps) combinations are recorded as note rows.
     """
-    return _run(config, None, None, _tail_vs_bound_rows)
+    return _run(config, None, _tail_vs_bound_rows)
 
 
 EXPERIMENTS = {

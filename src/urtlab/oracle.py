@@ -36,13 +36,14 @@ import numpy as np
 from .bijection import fixed_points_after_first, tree_to_permutation
 from .errors import ResourceGuardError
 from .moments import ExponentVector, VectorLike, falling_factorial
-from .stats import degree_counts_in_level, exceedance_count, max_degree
+from .stats import degree_counts_in_level, exceedance_count, exceedance_threshold, max_degree
 from .tree import RecursiveTree, grow_from_sequence
 
 ENUMERATION_MAX_NODES = 11  # 10! = 3.6M sequences
 RATIONAL_DP_MAX_NODES = 64  # exact rational DP guard
 DEGREE_TAIL_MAX_WORK = 10**8  # weights x coefficient rows in one pass of _degree_law_sums
 _TAIL_BLOCK = 1 << 14  # weights per block of that pass
+_TOTAL_BLOCK = 4096  # weights per block of _truncated_total
 
 
 def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
@@ -72,9 +73,6 @@ class ExactDistribution:
     n: int
     statistic: str
     support: dict[int, Fraction]
-
-    def probability(self, value: int) -> Fraction:
-        return self.support.get(value, Fraction(0))
 
     def expectation(self) -> Fraction:
         return sum((p * v for v, p in self.support.items()), start=Fraction(0))
@@ -244,14 +242,14 @@ def _truncated_product(w: np.ndarray, order: int, start=None) -> Iterator[np.nda
         yield row
 
 
-def _truncated_total(lo: int, hi: int, dtype, order: int, block: int = 4096) -> list:
+def _truncated_total(lo: int, hi: int, dtype, order: int) -> list:
     """``e_0..e_order`` of the weights ``1/lo, .., 1/(hi-1)``, as Fractions for
     dtype object and as ``dtype`` otherwise.  The weights are made and carried
     block by block, so no temporary grows with ``hi - lo``."""
     num = Fraction if dtype is object else dtype
     e = None
-    for b in range(lo, max(hi, lo + 1), block):
-        w, scale = _weights(b, min(b + block, hi), dtype)
+    for b in range(lo, max(hi, lo + 1), _TOTAL_BLOCK):
+        w, scale = _weights(b, min(b + _TOTAL_BLOCK, hi), dtype)
         start = None if e is None else [c * scale**m for m, c in enumerate(e)]
         rows = _truncated_product(w, order, start)
         e = [num(row[-1]) / scale**m for m, row in enumerate(rows)]
@@ -442,10 +440,7 @@ def expected_exceedance_count(n: int, k: int, t: float) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    threshold = t * math.log(n) - 1.0  # degree > t ln n  <=>  children > t ln n - 1
+    threshold = exceedance_threshold(n, t) - 1.0  # degree > t ln n  <=>  children > t ln n - 1
     tails = child_count_tails(n, threshold)
     levels = node_level_probabilities(n, k)
     return float(np.dot(levels, tails))

@@ -6,13 +6,14 @@ statistics never derive its levels.  The level statistics also come
 streamed: :func:`streamed_level_profiles` and :func:`streamed_level_sizes`
 read the uniform tree ``grow("uniform", n, seed)`` would hold from the same
 draws, one block at a time, without ever holding its length-``n`` arrays.
-Nodes are born in order, so a node's level is its parent's plus one, and a
-level array capped at ``max(k) + 1`` (one byte per node) is all the state
-that grows with ``n``.  A degree profile then needs the ids of the level's
-nodes and the parents of the next level's, which the same pass collects.
-The streamed and tree-read statistics share one reduction, so their
-results are equal.  All functions are pure and never mutate a tree, so
-they are safe to call concurrently.
+Nodes are born in order, so :func:`urtlab.tree._level_pass` derives
+levels from the draws as they come, and a level array capped at
+``max(k) + 1`` (one byte per node) is all the state that grows with
+``n``.  A degree profile then needs the ids of the level's nodes and the
+parents of the next level's, which the same pass collects.  The streamed
+and tree-read statistics share one reduction, so their results are
+equal.  All functions are pure and never mutate a tree, so they are safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyLevelError
 from .rng import generator
-from .tree import _LEVEL_BLOCK, RecursiveTree, _chain_ends, _guard_memory, _uniform_blocks, _writable
+from .tree import _LEVEL_BLOCK, RecursiveTree, _guard_memory, _level_pass, _uniform_blocks, _writable
 
 # peak RSS per node over a 30-MiB interpreter of the streamed statistics with
 # 1-byte levels, at 10^6 and 4 x 10^6 nodes: 7.9 and 2.8 bytes, of which
@@ -122,27 +123,17 @@ def _profile(k: int, degrees: np.ndarray) -> LevelDegreeProfile:
 
 def _streamed_levels(n: int, seed: int, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """``(start, parent, levels)`` per block of uniform growth from ``seed``:
-    the block's parents, and the node levels with the block's written.
+    the block's parents, and the node levels with the block's written by
+    :func:`urtlab.tree._level_pass`, capped at ``cap``.
 
-    Levels are capped at ``cap``: the value ``cap`` stands for every level
-    from ``cap`` on.  They live in the smallest unsigned dtype that holds
-    ``cap`` and are capped in a wider type before they are stored, so no
-    level wraps.  With ``cap <= 2`` level 1 is ``parent == 0`` and every
-    other node reads ``cap``; past it :func:`urtlab.tree._chain_ends` leads
-    each node of a block out of it, as the level pass does.  Growth past
-    physical memory at :data:`STREAM_BYTES_PER_NODE` per byte of level
+    Levels live in the smallest unsigned dtype that holds ``cap``.  Growth
+    past physical memory at :data:`STREAM_BYTES_PER_NODE` per byte of level
     raises before anything is allocated.
     """
     dtype = np.min_scalar_type(cap)
     _guard_memory(n, STREAM_BYTES_PER_NODE * dtype.itemsize)
     levels = np.zeros(n, dtype=dtype)
-    for start, parent in _uniform_blocks(n, generator(seed)):
-        stop = start + parent.size
-        if cap > 2:
-            end, hops = _chain_ends(parent.copy(), start)
-            levels[start:stop] = np.minimum(levels[end] + hops, cap)
-        else:
-            levels[start:stop] = np.where(parent == 0, 1, cap)
+    for start, parent in _level_pass(_uniform_blocks(n, generator(seed)), levels, cap):
         yield start, parent, levels
 
 

@@ -21,14 +21,14 @@ Two growth models are supported:
   parent.
 
 Both models draw their picks one block of nodes at a time; uniform
-blocks come from :func:`_uniform_blocks`, which :mod:`urtlab.stats` also
-reads to stream level statistics without building the tree.  Copied
-parents and levels are both chains of links to earlier nodes, and both
-come from one forward pass over blocks of nodes: since ``parent[i] < i``,
-everything before a block is final, and pointer jumping over the block's
-own links leads each of its nodes out of it.  That costs O(n) on uniform
-trees and O(n log block) at worst (a path), and holds only block-sized
-arrays beside the result.
+blocks come from :func:`_uniform_blocks`.  Copied parents and levels are
+both chains of links to earlier nodes, and both come from one forward pass
+over blocks of nodes: since ``parent[i] < i``, everything before a block
+is final, and pointer jumping over the block's own links leads each of its
+nodes out of it.  That costs O(n) on uniform trees and O(n log block) at
+worst (a path), and holds only block-sized arrays beside the result.
+:func:`_level_pass` alone derives levels, from a tree's parents or, in
+:mod:`urtlab.stats`, straight from the uniform draws.
 
 Growth is deterministic given ``(model, n, seed)``.  Trees are immutable
 after growth and safe to share across processes.
@@ -41,7 +41,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -159,17 +159,34 @@ def _chain_ends(link: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     return link, hops
 
 
-def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
-    """Root distances in one forward pass over blocks of :data:`_LEVEL_BLOCK` nodes.
+def _level_pass(blocks: Iterable[tuple[int, np.ndarray]], levels: np.ndarray,
+                cap: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Write each ``(start, parent)`` block's levels into ``levels``, capped
+    at ``cap`` (which stands for every level from ``cap`` on), then yield it.
 
-    Every level before a block is final when the block is reached, so one
-    gather, ``level[end] + hops`` from :func:`_chain_ends`, writes the block.
+    With ``cap <= 2`` level 1 is ``parent == 0`` and every other node reads
+    ``cap``.  Past it one gather, ``levels[end] + hops`` from
+    :func:`_chain_ends`, writes the block, capped in a wider type so no
+    level wraps in a narrow ``levels``.
     """
+    for start, parent in blocks:
+        stop = start + parent.size
+        if cap > 2:
+            end, hops = _chain_ends(parent.copy(), start)
+            levels[start:stop] = np.minimum(levels[end] + hops, cap)
+        else:
+            levels[start:stop] = np.where(parent == 0, 1, cap)
+        yield start, parent
+
+
+def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
+    """int32 root distances: the level pass over blocks of :data:`_LEVEL_BLOCK`
+    nodes, with a cap no level reaches."""
     n = parent.shape[0]
     level = np.zeros(n, dtype=np.int32)
-    for start in range(1, n, _LEVEL_BLOCK):
-        end, hops = _chain_ends(parent[start:start + _LEVEL_BLOCK].copy(), start)
-        level[start:start + _LEVEL_BLOCK] = level[end] + hops
+    blocks = ((start, parent[start:start + _LEVEL_BLOCK]) for start in range(1, n, _LEVEL_BLOCK))
+    for _ in _level_pass(blocks, level, np.iinfo(np.int32).max):
+        pass
     return level
 
 

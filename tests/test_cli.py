@@ -2,6 +2,7 @@ import json
 import struct
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -80,6 +81,12 @@ def test_load_tree_rejects_trailing_bytes(tmp_path, capsys):
     _assert_bad_tree_file(capsys, path, "needs 12 bytes of parent entries, but the file holds 13")
 
 
+def test_load_tree_rejects_a_truncated_header(tmp_path, capsys):
+    path = tmp_path / "t.urt"
+    path.write_bytes(b"URT1" + bytes(6))
+    _assert_bad_tree_file(capsys, path, "truncated header: 10 of 21 bytes")
+
+
 def test_load_tree_rejects_zero_nodes(tmp_path, capsys):
     _assert_bad_tree_file(capsys, _tree_file(tmp_path, 0, []), "node count must be >= 1, got 0")
 
@@ -98,6 +105,36 @@ def test_load_tree_refuses_a_corrupt_huge_n_before_allocating(tmp_path, capsys):
 def test_load_tree_names_the_node_whose_parent_is_not_earlier(tmp_path, capsys):
     path = _tree_file(tmp_path, 4, [0, 0, 7])
     _assert_bad_tree_file(capsys, path, r"parents\[2\]=7 is not a valid target for node 3")
+
+
+def test_stats_from_a_file_echoes_the_tree_it_read(tmp_path, capsys):
+    """The echo names the loaded tree, not the --model default; --n and
+    --seed beside --in would be ignored, so they are refused."""
+    tree_file = tmp_path / "t.urt"
+    code, _, _ = run_cli(capsys, "generate", "--model", "preferential", "--n", "50",
+                         "--seed", "7", "--out", str(tree_file))
+    assert code == 0
+    code, _, err = run_cli(capsys, "stats", "--in", str(tree_file))
+    assert code == 0
+    assert '"model": "preferential", "n": 50, "seed": 7' in err
+    for extra in (["--n", "7"], ["--seed", "9"], ["--n", "7", "--seed", "9"]):
+        code, out, err = run_cli(capsys, "stats", "--in", str(tree_file), *extra)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "drop --n and --seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--n", "50", "--seed", "3", "--k", "1,2", "--t", "0.5"],
+    ["enumerate", "--n", "5", "--statistic", "max_degree"],
+    ["bounds", "--i", "3", "--n", "100", "--a", "4"],
+])
+def test_out_file_holds_the_stdout_payload(tmp_path, capsys, argv):
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "payload.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == printed
 
 
 def test_stats_from_seed(capsys):
@@ -366,6 +403,29 @@ def test_experiment_echo_shows_the_clamped_worker_count(capsys, monkeypatch):
     assert '"workers": 1, "format": "json"' in err
 
 
+def test_experiment_echo_shows_the_workers_that_run(capsys, monkeypatch):
+    """Fewer than four replications, or no simulation at all, run in process:
+    the echo reads 1 there, and a pool opens exactly when it reads more."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    pools = []
+    context = experiments.get_context()
+
+    def pool(workers):
+        pools.append(workers)
+        return context.Pool(workers)
+
+    monkeypatch.setattr(experiments, "get_context", lambda: SimpleNamespace(Pool=pool))
+    for argv, workers in ((("level_exceedance", "--reps", "3"), 1),
+                          (("tail_vs_bound", "--reps", "5"), 1),
+                          (("level_exceedance", "--reps", "8"), 2)):
+        pools.clear()
+        code, _, err = run_cli(capsys, "experiment", *argv, "--n", "100", "--seed", "1",
+                               "--workers", "2")
+        assert code == 0, argv
+        assert f'"workers": {workers}, ' in err, argv
+        assert pools == ([workers] if workers > 1 else []), argv
+
+
 def test_experiment_csv_to_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "experiment", "degree_distribution", "--n", "500", "--reps", "3",
@@ -491,20 +551,23 @@ def test_level_one_statistics_never_derive_levels(capsys, monkeypatch):
     """Level 1 is read off the parents; degree laws and fixed points need no levels.
 
     The four level kernels stream capped levels, so none of them derives a
-    tree's levels at any k; past k = 1 they walk chains in blocks.
+    tree's levels at any k; past k = 1 (a cap above 2) the level pass walks
+    chains in blocks.
     """
     def refuse(parent):
         raise AssertionError("levels were derived")
 
     walks = []
-    chain_ends = stats._chain_ends
+    level_pass = tree_module._level_pass
 
-    def walk(link, start):
-        walks.append(start)
-        return chain_ends(link, start)
+    def watch(blocks, levels, cap):
+        if cap > 2:
+            walks.append(cap)
+        return level_pass(blocks, levels, cap)
 
     monkeypatch.setattr(tree_module, "_levels_from_parents", refuse)
-    monkeypatch.setattr(stats, "_chain_ends", walk)
+    for module in (tree_module, stats):
+        monkeypatch.setattr(module, "_level_pass", watch)
     for argv, walked in ((("experiment", "first_level_degrees", "--n", "500"), False),
                          (("experiment", "level_exceedance", "--n", "500", "--k", "1",
                            "--t", "0.3,0.6"), False),

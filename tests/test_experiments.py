@@ -64,7 +64,7 @@ def test_config_validation():
 def test_kernel_matches_public_api():
     """The fast kernel and the public tree API see the same replication."""
     n, seed = 500, derive_seed(4242, 3)
-    row = _kernel_level_exceedance((n, (1, 2), (0.4,)), seed)
+    row = _kernel_level_exceedance(small_config(k_grid=(1, 2), t_grid=(0.4,)), n, seed)
     tree = grow("uniform", n, seed)
     for idx, k in enumerate((1, 2)):
         frac = high_degree_fraction(tree, k, 0.4)
@@ -309,24 +309,26 @@ def test_streamed_kernels_match_grown_trees_across_block_edges(n):
     """The streamed level kernels read the draws ``grow()`` makes, block by block."""
     for seed in (0, 7, 2**63, 2**64 - 1):
         exceedance, first, by_level, higher = _grown_kernel_tuples(n, seed)
-        assert np.array_equal(
-            experiments._kernel_level_exceedance((n, STREAM_KS, STREAM_TS), seed), exceedance,
-            equal_nan=True)
-        assert experiments._kernel_first_level_degrees((n, STREAM_DMAX), seed) == tuple(first)
-        assert experiments._kernel_level_sizes((n, (0,) + STREAM_KS), seed) == tuple(by_level)
-        assert experiments._kernel_higher_level((n, STREAM_KS[1:], STREAM_DMAX), seed) == tuple(higher)
+        config = small_config(k_grid=STREAM_KS, t_grid=STREAM_TS, d_max=STREAM_DMAX)
+        assert np.array_equal(experiments._kernel_level_exceedance(config, n, seed), exceedance,
+                              equal_nan=True)
+        assert experiments._kernel_first_level_degrees(config, n, seed) == tuple(first)
+        assert experiments._kernel_level_sizes(
+            small_config(k_grid=(0,) + STREAM_KS), n, seed) == tuple(by_level)
+        assert experiments._kernel_higher_level(
+            small_config(k_grid=STREAM_KS[1:], d_max=STREAM_DMAX), n, seed) == tuple(higher)
 
 
 @pytest.mark.parametrize("kernel, cfg", [
-    ("_kernel_first_level_degrees", (10**6, 6)),
-    ("_kernel_level_exceedance", (10**6, (2,), (0.5,))),
+    ("_kernel_first_level_degrees", dict(d_max=6)),
+    ("_kernel_level_exceedance", dict(k_grid=(2,), t_grid=(0.5,))),
 ])
 def test_streamed_kernels_hold_no_length_n_int64_array(kernel, cfg):
     """Growing the tree peaked at 22.9 MiB at 10^6 nodes; the streamed kernels
     hold a 1-byte level per node and block-sized arrays."""
     tracemalloc.start()
     try:
-        getattr(experiments, kernel)(cfg, 3)
+        getattr(experiments, kernel)(small_config(**cfg), 10**6, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
