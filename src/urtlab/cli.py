@@ -48,10 +48,12 @@ def _load_input_tree(args):
     if args.infile:
         if args.n is not None or args.seed is not None:
             raise ValueError("--in reads the tree's n and seed from the file; drop --n and --seed")
+        if args.model is not None:
+            raise ValueError("--in reads the tree's model from the file; drop --model")
         return load_tree(args.infile)
     if args.n is None or args.seed is None:
         raise ValueError("provide --in FILE, or --model/--n/--seed to grow a tree")
-    return grow(args.model, args.n, args.seed)
+    return grow(args.model or "uniform", args.n, args.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -65,6 +67,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.t is not None and args.k is None:
+        raise ValueError("--t needs --k: exceedance fractions are taken per level")
     tree = _load_input_tree(args)
     model = tree.model.name.lower()
     _echo("stats", {"in": args.infile, "model": model, "n": tree.n, "seed": tree.seed,
@@ -120,6 +124,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.ns is not None and not args.table:
+        raise ValueError("--ns needs --table; without it moments prints the one value at --n")
     k = _ints(args.k)
     _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns})
     if args.table:
@@ -231,11 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="level sizes, degree histogram and exceedance fractions")
     p.add_argument("--in", dest="infile", help="URT1 binary produced by generate")
-    p.add_argument("--model", default="uniform", choices=["uniform", "preferential"])
+    p.add_argument("--model", choices=["uniform", "preferential"],
+                   help="growth model with --n/--seed (default uniform)")
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--k", help="comma-separated levels for per-level output")
-    p.add_argument("--t", help="comma-separated thresholds in (0,1)")
+    p.add_argument("--t", help="comma-separated thresholds in (0,1), at the --k levels")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_stats)
 

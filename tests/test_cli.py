@@ -123,6 +123,24 @@ def test_stats_from_a_file_echoes_the_tree_it_read(tmp_path, capsys):
         assert err.count("error:") == 1 and "drop --n and --seed" in err
 
 
+def test_stats_refuses_a_model_beside_in(tmp_path, capsys):
+    """The file fixes the model; a --model beside --in would be ignored."""
+    tree_file = tmp_path / "t.urt"
+    assert run_cli(capsys, "generate", "--n", "50", "--seed", "7", "--out", str(tree_file))[0] == 0
+    for model in ("uniform", "preferential"):
+        code, out, err = run_cli(capsys, "stats", "--in", str(tree_file), "--model", model)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "drop --model" in err
+    code, _, err = run_cli(capsys, "stats", "--n", "50", "--seed", "7", "--model", "preferential")
+    assert code == 0 and '"model": "preferential"' in err
+
+
+def test_stats_refuses_thresholds_without_levels(capsys):
+    code, out, err = run_cli(capsys, "stats", "--n", "100", "--seed", "1", "--t", "0.5")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "--t needs --k" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["stats", "--n", "50", "--seed", "3", "--k", "1,2", "--t", "0.5"],
     ["enumerate", "--n", "5", "--statistic", "max_degree"],
@@ -181,6 +199,12 @@ def test_moments_prints_exact_fraction(capsys):
 def test_moments_invalid_n(capsys):
     code, _, _ = run_cli(capsys, "moments", "--n", "1", "--k", "1")
     assert code == 1
+
+
+def test_moments_refuses_ns_without_table(capsys):
+    code, out, err = run_cli(capsys, "moments", "--n", "100", "--k", "1", "--ns", "5,6")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "--ns needs --table" in err
 
 
 def test_moments_table_csv(tmp_path, capsys):

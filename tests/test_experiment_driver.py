@@ -55,7 +55,7 @@ MATRIX = {
 PINNED = {
     "level_exceedance": "1a4d812444bbf35d619ce63b4778eaa53be00e96b2fd2b867f6087d3ab1bfb8c",
     "first_level_degrees": "5528e8828ddbc881ea030e0d3080737b1ae4f62214f93e9aca1b100ce79b333a",
-    "first_level_degrees_float": "5c753c3de1d4ce0d0aed64ee489c335a45f684f31b9e9626d00e94c5083b53f2",
+    "first_level_degrees_float": "2938bb2f69450e0678599b1ee6ba34635baf25a415d7eed16684367d2f75a751",
     "degree_distribution_uniform": "2bd474f36a6b578bf7798f64e1d78474b850ef5930b7bee03c7b7333c2c54a59",
     "degree_distribution_preferential": "6ecdb2da81f0db79599db1cf25ff489d6250decbee82b1a8a6025ca3ecb9baae",
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",

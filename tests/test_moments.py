@@ -2,8 +2,10 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -143,10 +145,67 @@ def test_table_rows_and_csv():
     assert "3,0-1,1,2" in lines
 
 
+def _sequential_moments(n, targets):
+    """Reference: one dense step ``row += (B @ row) / m`` per n over the closure."""
+    wanted = [ExponentVector.of(t) for t in targets]
+    plan = moments._plan(wanted)
+    step = np.zeros((len(plan), len(plan)))
+    for pos, (_, total, moves) in enumerate(plan):
+        step[pos, pos] -= total
+        for weight, moved in moves:
+            step[pos, moved] += weight
+    row = np.array([float(moments._base_value(v)) for v, _, _ in plan])
+    moved = np.empty_like(row)
+    for m in range(2, n):
+        np.dot(step, row, out=moved)
+        moved /= m
+        row += moved
+    index = {v: pos for pos, (v, _, _) in enumerate(plan)}
+    return {t: float(row[index[t]]) for t in wanted}
+
+
+def assert_relatively_close(values, reference, tol):
+    """Every value within ``tol`` relative of its reference; a zero must be exact."""
+    assert values.keys() == reference.keys()
+    for v, ref in reference.items():
+        assert math.isclose(values[v], ref, rel_tol=tol, abs_tol=0.0), (v, values[v], ref)
+
+
+# the closure of every first-level row at d_max = 3: d <= 3, total <= 3
+FIRST_LEVEL_CLOSURE = sorted(dependency_closure((0, 0, 3)), key=lambda v: (v.d, v.k))
+ORDER_6_CLOSURE = sorted(dependency_closure((0, 0, 6)), key=lambda v: (v.d, v.k))
+PILOT_CLOSURE = sorted(dependency_closure((0, 0, 14)), key=lambda v: (v.d, v.k))
+
+
+@pytest.mark.parametrize("vectors, size, n", [(FIRST_LEVEL_CLOSURE, 20, 100_000),
+                                              (PILOT_CLOSURE, 680, 5000)],
+                         ids=["first-level-1e5", "pilot-5000"])
+def test_float_sweep_matches_the_sequential_steps(vectors, size, n):
+    assert len(vectors) == size
+    assert_relatively_close(factorial_moments_float(n, vectors), _sequential_moments(n, vectors),
+                            1e-12)
+
+
 def test_float_recursion_tracks_exact():
-    for k in map(ExponentVector, [(1,), (1, 1), (0, 0, 1), (2, 1)]):
-        exact = float(exact_factorial_moment(512, k))
-        assert abs(factorial_moments_float(512, [k])[k] - exact) < 1e-11
+    for vectors, ns in ((FIRST_LEVEL_CLOSURE, (50, 600, 4096)), (ORDER_6_CLOSURE, (2000,))):
+        table = MomentTable.for_targets(vectors, ns)
+        for n in ns:
+            exact = {v: float(table.value(n, v)) for v in vectors}
+            assert_relatively_close(factorial_moments_float(n, vectors), exact, 1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 14, 100, 500])
+def test_float_sweep_counts_fixed_points_over_its_whole_range(k):
+    """d = 1 counts fixed points of a uniform permutation of n - 1, whose
+    factorial moments are 1 up to order n - 1 and 0 past it; at k = 500 the
+    running product of one 2048-step block would leave the double range."""
+    target = ExponentVector((k,))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for n in (k, k + 1, 2000):
+            if n >= 2:
+                expected = 1.0 if k <= n - 1 else 0.0
+                assert abs(factorial_moments_float(n, [target])[target] - expected) <= 1e-12
 
 
 def test_moment_value_of_one_is_exact_not_approximate():
@@ -174,11 +233,11 @@ def test_moment_table_equals_a_plain_rational_recursion():
 # sha256 of json.dumps of the float-recursion values at n = 5000 over every
 # vector of d <= 3 and total <= 14 (the closure of the golden pilot's TV
 # bound), in sweep order; numpy 2.4.6 on x86-64
-PILOT_CLOSURE_FLOATS_N5000 = "ebed935dd8b6fd0c69c433c829245aa4c0b04b58113c04ff5afcaf672e2dd21c"
+PILOT_CLOSURE_FLOATS_N5000 = "2aed639b1a983ab1a984e3eb2e30c08926c802b2b5234954217bb2ea302989cf"
 
 
 def test_float_recursion_is_pinned_bit_for_bit_on_the_pilot_closure():
-    vectors = sorted(dependency_closure((0, 0, 14)), key=lambda v: (v.d, v.k))
+    vectors = PILOT_CLOSURE
     assert len(vectors) == 680
     values = factorial_moments_float(5000, vectors)
     digest = hashlib.sha256(json.dumps([values[v] for v in vectors]).encode()).hexdigest()
