@@ -126,10 +126,12 @@ def _cmd_bijection(args) -> int:
 def _cmd_moments(args) -> int:
     if args.ns is not None and not args.table:
         raise ValueError("--ns needs --table; without it moments prints the one value at --n")
+    if (args.n is None) == (args.ns is None):
+        raise ValueError("give exactly one of --n and --ns")
     k = _ints(args.k)
     _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns})
     if args.table:
-        ns = _ints(args.ns) if args.ns else [args.n]
+        ns = [args.n] if args.ns is None else _ints(args.ns)
         table = MomentTable(k, ns)
         if args.out:
             with open(args.out, "w") as fh:
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bijection)
 
     p = sub.add_parser("moments", help="exact joint factorial moments of level-1 degree counts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="node count; give it or --ns, not both")
     p.add_argument("--k", required=True, help="comma-separated exponent vector, e.g. 0,1")
     p.add_argument("--table", action="store_true", help="emit CSV over --ns instead of one value")
     p.add_argument("--ns", help="comma-separated n values for --table")

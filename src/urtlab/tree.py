@@ -21,14 +21,21 @@ Two growth models are supported:
   parent.
 
 Both models draw their picks one block of nodes at a time; uniform
-blocks come from :func:`_uniform_blocks`.  Copied parents and levels are
-both chains of links to earlier nodes, and both come from one forward pass
-over blocks of nodes: since ``parent[i] < i``, everything before a block
-is final, and pointer jumping over the block's own links leads each of its
-nodes out of it.  That costs O(n) on uniform trees and O(n log block) at
-worst (a path), and holds only block-sized arrays beside the result.
-:func:`_level_pass` alone derives levels, from a tree's parents or, in
-:mod:`urtlab.stats`, straight from the uniform draws.
+blocks come from :func:`_uniform_blocks`.  The picks are numpy's own
+bounded draws, ``rng.integers(0, bounds)``: :class:`_Words` makes them by
+Lemire's method, as numpy does, from the bit generator's raw 32-bit words,
+in bulk rather than one element at a time.  Equality tests pin every draw,
+and the generator's state after growth, to the installed numpy.  Bounds of
+2^32 and more go through ``rng.integers`` itself.
+
+Copied parents and levels are both chains of links to earlier nodes, and
+both come from one forward pass over blocks of nodes: since
+``parent[i] < i``, everything before a block is final, and pointer jumping
+over the block's own links leads each of its nodes out of it.  That costs
+O(n) on uniform trees and O(n log block) at worst (a path), and holds only
+block-sized arrays beside the result.  :func:`_level_pass` alone derives
+levels, from a tree's parents or, in :mod:`urtlab.stats`, straight from
+the uniform draws.
 
 Growth is deterministic given ``(model, n, seed)``.  Trees are immutable
 after growth and safe to share across processes.
@@ -55,6 +62,17 @@ DETERMINISTIC = "deterministic"
 GROWTH_BYTES_PER_NODE = 32
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of uniform draws and of the level pass
+
+# _Words: each rejected word costs one more vector pass.  On 2 vCPU a block
+# of 16,384 bounds below 10^6 drew in 105-140 us against numpy's ~200, near
+# 5 x 10^6 (a rejection per ~1,700 words) in ~250, and near 10^8 in
+# 5,400-6,500 against 210-410; so once at least 8 rejections come one per
+# _REJECT_GAP words or faster, numpy draws the rest
+_REJECT_GAP = 1024
+# words in one vector pass: at least after a rejection, and at most; at the
+# most every temporary stays below 64 KiB, and glibc trims the heap only when
+# a larger chunk is freed, so blocks do not fault its pages back in
+_WINDOW_MIN, _WINDOW_MAX = 256, 1 << 13
 
 _MAGIC = b"URT1"
 _HEADER = struct.Struct("<4sQBQ")  # magic, node count, model tag, seed
@@ -197,17 +215,143 @@ def _degrees_from_parents(parent: np.ndarray) -> np.ndarray:
     return degree
 
 
+class _Words:
+    """The 32-bit word stream of ``rng``'s bit generator, drawn in bulk into
+    numpy's own bounded integers.
+
+    For one bound ``high`` in ``[2, 2^32)`` numpy's ``rng.integers(0, high)``
+    is Lemire's multiply-and-reject (D. Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 29(1), 2019): the next word ``w``
+    is kept when the low half of ``w * high`` is at least ``2^32 mod high``,
+    and the draw is its high half; otherwise the next word is tried.  A
+    bound of 1 takes no word.  Words come low half first from each raw
+    64-bit word, and an unused high half waits in the state as
+    ``has_uint32`` and ``uinteger``.  An array of bounds is drawn element by
+    element, so :meth:`integers` takes the words of a whole array from
+    ``random_raw`` and tests them all at once.  At the first rejected word
+    the words after it go back to the queue, that element takes words one
+    at a time until one is kept, and the vector pass resumes after it.
+    Once rejections come more often than one per :data:`_REJECT_GAP` words,
+    the pass costs more than numpy's own loop: the queue is drained and
+    ``rng.integers`` draws from there on.  It also draws any array whose
+    bounds reach 2^32.
+
+    Use it as a context manager: the pending half word is read on entry and
+    written back on exit, so ``rng`` then stands where numpy's own draws
+    would have left it, ``repr`` of its state included.  In between the
+    generator's state is stale.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._bits = rng, rng.bit_generator
+        self._numpy = False
+
+    def __enter__(self) -> "_Words":
+        state = self._bits.state
+        self._last = state["uinteger"]  # the last high half made; numpy keeps it once used
+        # the queue is _words[_head:_size]; refills reuse the array, as fresh ones
+        # made glibc trim and refault the heap in pool workers
+        self._words = np.array([self._last], dtype=np.uint32)
+        self._head, self._size = 0, state["has_uint32"]
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._numpy:  # handed over: numpy keeps the state itself
+            return
+        state = self._bits.state
+        state["has_uint32"] = int(self._head < self._size)  # then that word is self._last
+        state["uinteger"] = self._last
+        self._bits.state = state
+
+    def integers(self, highs: np.ndarray) -> np.ndarray:
+        """``rng.integers(0, highs, dtype=np.int64)`` for int64 bounds ``highs >= 1``,
+        value for value and word for word."""
+        if not highs.size:
+            return np.zeros(0, dtype=np.int64)
+        if self._numpy:
+            return self._rng.integers(0, highs, dtype=np.int64)
+        top = int(highs.max())
+        if top >= 1 << 32:
+            self.__exit__()
+            out = self._rng.integers(0, highs, dtype=np.int64)
+            self.__enter__()
+            return out
+        out = np.empty(highs.size, dtype=np.int64)
+        ones = np.flatnonzero(highs == 1) if highs.min() == 1 else np.zeros(0, dtype=np.int64)
+        out[ones] = 0  # these take no word
+        for lo, hi in zip([0, *(ones + 1)], [*ones, highs.size]):
+            if lo < hi:
+                self._lemire(highs[lo:hi].view(np.uint64), top, out[lo:hi].view(np.uint64))
+        return out
+
+    def _take(self, k: int) -> np.ndarray:
+        """A view of the next ``k`` words, valid until the next call; the
+        queue goes on right after them."""
+        head, size = self._head, self._size
+        if head + k > size:
+            raw = self._bits.random_raw((head + k - size + 1) >> 1)
+            self._last = int(raw[-1] >> 32)
+            kept = size - head
+            if kept + 2 * raw.size > self._words.size:
+                self._words = np.concatenate((self._words[head:size], np.empty(2 * raw.size, np.uint32)))
+            else:
+                self._words[:kept] = self._words[head:size].copy()
+            # low half first, as numpy takes them, on either byte order
+            self._words[kept:kept + 2 * raw.size] = raw.astype("<u8", copy=False).view("<u4")
+            head, self._size = 0, kept + 2 * raw.size
+        self._head = head + k
+        return self._words[head:head + k]
+
+    def _lemire(self, highs: np.ndarray, top: int, out: np.ndarray) -> None:
+        """Draws into ``out`` for uint64 bounds in ``[2, top]``, ``top < 2^32``."""
+        # a word is rejected with chance (2^32 mod h) / 2^32 < top / 2^32: a first
+        # window of 16 x 2^32 / top words holds fewer than 16 rejections on average
+        pos, rejected, window = 0, 0, min(max(_WINDOW_MIN, (16 << 32) // top), _WINDOW_MAX)
+        while pos < highs.size:
+            if rejected >= 8 and rejected * _REJECT_GAP > pos:
+                if self._size - self._head <= 1:  # drained: no word is drawn ahead of numpy
+                    self.__exit__()
+                    self._numpy = True
+                    out[pos:] = self.integers(highs[pos:].view(np.int64))
+                    return
+                window = min(window, self._size - self._head)
+            stop = min(pos + window, highs.size)
+            h = highs[pos:stop]
+            product = np.multiply(self._take(h.size), h, out=out[pos:stop])
+            low = product.astype(np.uint32)
+            np.right_shift(product, 32, out=product)
+            near = np.flatnonzero(low < top)  # only these can fall below 2^32 mod h < h
+            rejects = near[low[near] < (1 << 32) % h[near]]
+            if not rejects.size:
+                pos, window = stop, min(2 * window, _WINDOW_MAX)
+                continue
+            j = int(rejects[0])
+            rejected += 1
+            self._head -= stop - pos - j - 1  # the words after the rejected one go back
+            out[pos + j] = self._redraw(int(h[j]))
+            pos, window = pos + j + 1, min(max(_WINDOW_MIN, 2 * (j + 1)), _WINDOW_MAX)
+
+    def _redraw(self, high: int) -> int:
+        """One bound's draw, taking words one at a time until one is kept."""
+        threshold = (1 << 32) % high
+        while True:
+            product = int(self._take(1)[0]) * high
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+
+
 def _uniform_blocks(n: int, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """``(start, parent[start:stop])`` of uniform growth, one block of
     :data:`_LEVEL_BLOCK` nodes at a time.
 
-    numpy draws array-bounded integers element by element, so the blocks
-    concatenate to ``rng.integers(0, np.arange(1, n))`` and leave ``rng`` in
-    the same state.
+    Node ``i`` draws ``rng.integers(0, i)``.  :class:`_Words` makes those
+    draws from raw words, so the blocks concatenate to numpy's own
+    ``rng.integers(0, np.arange(1, n))`` and leave ``rng`` in the same
+    state; the tests pin that equality to the installed numpy.
     """
-    for start in range(1, n, _LEVEL_BLOCK):
-        stop = min(start + _LEVEL_BLOCK, n)
-        yield start, rng.integers(0, np.arange(start, stop), dtype=np.int64)
+    with _Words(rng) as words:
+        for start in range(1, n, _LEVEL_BLOCK):
+            yield start, words.integers(np.arange(start, min(start + _LEVEL_BLOCK, n)))
 
 
 def _uniform_parents(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,22 +372,27 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     node ``v = d_i // 2 + 1 < i``: an odd ``d_i`` is ``v`` itself, an even
     one copies ``parent[v]``.  Blocks of :data:`_LEVEL_BLOCK` nodes draw in
     one batch each, and :func:`_chain_ends` follows the copy links to a
-    parent named outright.  The parents equal those of the sequential list
-    walk, draw for draw.
+    parent named outright.
+
+    The picks are numpy's ``rng.integers(0, 2 * np.arange(1, n - 1))``,
+    drawn from raw words by :class:`_Words` and left with ``rng`` in numpy's
+    state; the tests pin that equality to the installed numpy.  So the
+    parents equal those of the sequential list walk, draw for draw.
     """
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
     parent[1] = 0
-    for start in range(2, n, _LEVEL_BLOCK):
-        stop = min(start + _LEVEL_BLOCK, n)
-        link = rng.integers(0, 2 * np.arange(start - 1, stop - 1), dtype=np.int64)  # d_i
-        odd = (link & 1) == 1
-        link >>= 1
-        link += 1  # v, the node whose edge holds entry d_i
-        np.invert(link, out=link, where=odd)  # odd d_i: parent v, kept as ~v < 0 to end the chain
-        end, _ = _chain_ends(link, start)
-        # a negative end is ~parent; parent[end] reads from the back there and is discarded
-        parent[start:stop] = np.where(end < 0, ~end, parent[end])
+    with _Words(rng) as words:
+        for start in range(2, n, _LEVEL_BLOCK):
+            stop = min(start + _LEVEL_BLOCK, n)
+            link = words.integers(2 * np.arange(start - 1, stop - 1))  # d_i
+            odd = (link & 1) == 1
+            link >>= 1
+            link += 1  # v, the node whose edge holds entry d_i
+            np.invert(link, out=link, where=odd)  # odd d_i: parent v, kept as ~v < 0 to end the chain
+            end, _ = _chain_ends(link, start)
+            # a negative end is ~parent; parent[end] reads from the back there and is discarded
+            parent[start:stop] = np.where(end < 0, ~end, parent[end])
     return parent
 
 

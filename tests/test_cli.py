@@ -207,9 +207,30 @@ def test_moments_refuses_ns_without_table(capsys):
     assert err.count("error:") == 1 and "--ns needs --table" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "100", "--k", "1", "--table", "--ns", "5,6"],
+    ["--k", "1"],
+    ["--k", "1", "--table"],
+], ids=["both", "neither", "neither_with_table"])
+def test_moments_takes_exactly_one_of_n_and_ns(capsys, argv):
+    """--n once went unread beside --table --ns, while the echo reported it."""
+    code, out, err = run_cli(capsys, "moments", *argv)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "exactly one of --n and --ns" in err
+    assert "Traceback" not in err
+
+
+def test_moments_table_at_n_alone(capsys):
+    code, out, err = run_cli(capsys, "moments", "--n", "3", "--k", "0,1", "--table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,k,numerator,denominator" and "3,0-1,1,2" in lines
+    assert '"n": 3' in err
+
+
 def test_moments_table_csv(tmp_path, capsys):
     out_file = tmp_path / "m.csv"
-    code, _, _ = run_cli(capsys, "moments", "--n", "4", "--k", "0,1", "--table",
+    code, _, _ = run_cli(capsys, "moments", "--k", "0,1", "--table",
                          "--ns", "2,3,4", "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
@@ -222,8 +243,7 @@ def test_moments_beyond_the_exact_guard_exits_2(capsys):
     code, out, err = run_cli(capsys, "moments", "--n", "1000000", "--k", "1")
     assert code == 2 and out == ""
     assert err.count("error:") == 1 and "guarded to n <= 10000" in err
-    code, _, err = run_cli(capsys, "moments", "--n", "4", "--k", "1", "--table",
-                           "--ns", "4,20001")
+    code, _, err = run_cli(capsys, "moments", "--k", "1", "--table", "--ns", "4,20001")
     assert code == 2 and "Traceback" not in err
 
 
@@ -258,12 +278,12 @@ def test_moments_table_kept_rows_are_guarded(capsys, monkeypatch):
 
     monkeypatch.setattr(moments, "_sweep", sweep)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "moments", "--n", "2", "--k", "1,1,1", "--table",
+    code, out, err = run_cli(capsys, "moments", "--k", "1,1,1", "--table",
                              "--ns", ",".join(map(str, range(2, 10_001))))
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and sweeps == []
     assert err.count("error:") == 1 and "sum of kept n^2" in err and "Traceback" not in err
-    code, out, _ = run_cli(capsys, "moments", "--n", "2", "--k", "1,1,1", "--table",
+    code, out, _ = run_cli(capsys, "moments", "--k", "1,1,1", "--table",
                            "--ns", "2,100,1000")
     assert code == 0 and len(sweeps) == 1 and out.count("\n") == 1 + 3 * 14
 

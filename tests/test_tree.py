@@ -16,7 +16,13 @@ from urtlab import (
     validate,
 )
 from urtlab.rng import derive_seed, generator
-from urtlab.tree import _LEVEL_BLOCK, _levels_from_parents, _preferential_parents, _uniform_parents
+from urtlab.tree import (
+    _LEVEL_BLOCK,
+    _levels_from_parents,
+    _preferential_parents,
+    _uniform_parents,
+    _Words,
+)
 
 
 def test_single_node_tree():
@@ -249,6 +255,46 @@ def test_blocked_uniform_parents_are_the_whole_draw(n):
         assert np.array_equal(parent[1:], whole.integers(0, np.arange(1, n), dtype=np.int64))
         assert repr(blocked.bit_generator.state) == repr(whole.bit_generator.state)
         assert blocked.integers(0, 2**63, size=4).tolist() == whole.integers(0, 2**63, size=4).tolist()
+
+
+WORD_SEEDS = (0, 7, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("calls", [
+    # about half the words are rejected, often several in a row; numpy takes over part way
+    [np.full(5000, 2**31 + 1)],
+    [np.full(5000, 2**31 + 1), np.arange(2, 100)],
+    # 999 words: the high half of the last raw word waits for the next call, then stays pending
+    [np.arange(2, 1001), np.arange(3, 8), np.arange(2, 3)],
+    # bounds of 2^32 and more take numpy's 64-bit path
+    [np.arange(2**32 - 3, 2**32 + 3), np.arange(2, 9)],
+    [np.zeros(0, dtype=np.int64), np.arange(1, 4), np.zeros(0, dtype=np.int64)],
+    [np.array([1, 5, 1, 1, 3, 1])],
+    [np.arange(1, B + 1), np.arange(B + 1, 2 * B + 1)],
+], ids=["rejections", "rejections_then_more", "odd_word_count", "straddling_2^32", "empty",
+        "bounds_of_one", "uniform_blocks"])
+@pytest.mark.parametrize("pending", [False, True], ids=["", "pending_half"])
+def test_words_draw_numpys_bounded_integers(calls, pending):
+    """Each call equals numpy's own draw, and the generator ends in numpy's state."""
+    for seed in WORD_SEEDS:
+        ours, numpys = generator(seed), generator(seed)
+        if pending:  # a 32-bit draw leaves the high half of its raw word pending
+            ours.integers(0, 7, dtype=np.uint32)
+            numpys.integers(0, 7, dtype=np.uint32)
+        with _Words(ours) as words:
+            for highs in calls:
+                expected = numpys.integers(0, highs, dtype=np.int64)
+                assert np.array_equal(words.integers(highs), expected)
+        assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7, 10**6])
+def test_preferential_parents_draw_numpys_words(n):
+    for seed in WORD_SEEDS:
+        ours, numpys = generator(seed), generator(seed)
+        expected, _ = _sequential_preferential(n, numpys)
+        assert np.array_equal(_preferential_parents(n, ours), expected)
+        assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
 
 
 @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 7])
