@@ -554,7 +554,7 @@ def _higher_level_rows(config, n, table):
                 {"n": n, "k": k, "d": d}, ratio, limit=1.0, count_mean=_clean(count_mean),
                 count_se=_clean(count_se), level_km1_mean=size_km1_mean, level_k_mean=size_k_mean,
                 proportion=_clean(proportion),
-                proportion_scaled=_clean(proportion * k * math.log(n) if size_k_mean else None)))
+                proportion_scaled=_clean(proportion * math.log(n) / k if size_k_mean else None)))
     return rows
 
 
@@ -562,7 +562,8 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
     """Counts of degree-d nodes in level k >= 2 against the size of level k-1.
 
     The heuristic reference is a ratio near 1 and a proportion near
-    ``1/(k ln n)``; rows carry both, scaled so their limits read 1.
+    ``k / ln n``, since E|L_{k-1}| / E|L_k| ~ k / ln n; rows carry both, the
+    proportion scaled by ``ln n / k``, so their limits read 1.
     """
     if min(config.k_grid) < 2:
         raise ValueError(f"this experiment needs levels k >= 2, got {config.k_grid}")

@@ -54,9 +54,11 @@ def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
     carries probability ``1/(n-1)!`` under uniform growth.
     """
     n = int(n)
-    if not 2 <= n <= ENUMERATION_MAX_NODES:
+    if n < 2:
+        raise ValueError(f"enumeration needs n >= 2 nodes, got {n}")
+    if n > ENUMERATION_MAX_NODES:
         raise ResourceGuardError(
-            f"enumeration is guarded to 2 <= n <= {ENUMERATION_MAX_NODES}, got {n}"
+            f"enumeration is guarded to n <= {ENUMERATION_MAX_NODES}, got {n}"
         )
     for seq in itertools.product(*(range(i) for i in range(1, n))):
         yield grow_from_sequence(seq)

@@ -17,8 +17,8 @@ Two growth models are supported:
   picks an entry of the endpoint list (every edge contributes both of its
   endpoints), which makes the attachment probability proportional to the
   current degree (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).  The
-  list is never built: each entry is a node index or a copy of an earlier
-  parent.
+  list is never built: each pick decodes by one XOR to a node index or a
+  link to a parent it copies, and only the copies gather from ``parent``.
 
 Both models draw their picks one block of nodes at a time; uniform
 blocks come from :func:`_uniform_blocks`.  The picks are numpy's own
@@ -371,8 +371,12 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     independently of earlier outcomes.  Entry ``d_i`` lies on the edge of
     node ``v = d_i // 2 + 1 < i``: an odd ``d_i`` is ``v`` itself, an even
     one copies ``parent[v]``.  Blocks of :data:`_LEVEL_BLOCK` nodes draw in
-    one batch each, and :func:`_chain_ends` follows the copy links to a
-    parent named outright.
+    one batch each.  Each pick decodes, with no mask, to
+    ``v ^ -(d_i & 1)``: an even pick keeps the link ``v``, an odd one
+    becomes ``~v < 0``, a parent named outright, which ends its chain.
+    :func:`_chain_ends` follows the copy links until each ends below the
+    block; the named ends are written as ``~end``, and only the copies read
+    ``parent`` at their end.
 
     The picks are numpy's ``rng.integers(0, 2 * np.arange(1, n - 1))``,
     drawn from raw words by :class:`_Words` and left with ``rng`` in numpy's
@@ -386,13 +390,15 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
         for start in range(2, n, _LEVEL_BLOCK):
             stop = min(start + _LEVEL_BLOCK, n)
             link = words.integers(2 * np.arange(start - 1, stop - 1))  # d_i
-            odd = (link & 1) == 1
+            odd = link & 1
             link >>= 1
             link += 1  # v, the node whose edge holds entry d_i
-            np.invert(link, out=link, where=odd)  # odd d_i: parent v, kept as ~v < 0 to end the chain
+            link ^= np.negative(odd, out=odd)  # odd d_i: ~v; even: v
             end, _ = _chain_ends(link, start)
-            # a negative end is ~parent; parent[end] reads from the back there and is discarded
-            parent[start:stop] = np.where(end < 0, ~end, parent[end])
+            copies = np.flatnonzero(end >= 0)
+            block = parent[start:stop]
+            np.invert(end, out=block)  # a named end is ~parent; copies are overwritten next
+            block[copies] = parent[end[copies]]  # a copied end is below start, so final
     return parent
 
 

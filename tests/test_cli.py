@@ -313,6 +313,14 @@ def test_enumerate_guard_exit_code(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_enumerate_below_two_nodes_is_a_domain_error(capsys, n):
+    """Too few nodes is a bad input (exit 1), not a resource guard (exit 2)."""
+    code, out, err = run_cli(capsys, "enumerate", "--n", n)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "n >= 2" in err and "Traceback" not in err
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--i", "1", "--n", "3", "--a", "2")
     assert code == 0

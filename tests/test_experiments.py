@@ -227,6 +227,23 @@ def test_higher_level_counts_bounded_by_level_size():
         assert row["proportion_scaled"] > 0.0
 
 
+def test_higher_level_proportion_is_scaled_by_ln_n_over_k():
+    """E|L_{k-1}| / E|L_k| ~ k / ln n, so a proportion at its heuristic value
+    k / ln n reads 1 once scaled, at every level k."""
+    n, d_max = 10**5, 1
+    config = ExperimentConfig(experiment="higher_level_small_degree", n_grid=(n,),
+                              replications=2, seed=1, k_grid=(2, 3), d_max=d_max, workers=1)
+    size_k = 1000.0
+    # per level: the degree-1 count, |L_{k-1}| and |L_k|
+    columns = [c for k in (2, 3) for c in (size_k * k / math.log(n), 50.0, size_k)]
+    table = np.array([columns, columns])  # two replications
+    rows = experiments._higher_level_rows(config, n, table)
+    assert [row["point"]["k"] for row in rows] == [2, 3]
+    for row in rows:
+        assert row["proportion"] == pytest.approx(row["point"]["k"] / math.log(n))
+        assert row["proportion_scaled"] == pytest.approx(1.0)
+
+
 def test_tail_vs_bound_exact_rows_dominate():
     cfg = ExperimentConfig(
         experiment="tail_vs_bound", n_grid=(500,), replications=5, seed=8,

@@ -34,7 +34,7 @@ def test_enumeration_counts():
 def test_enumeration_guard():
     with pytest.raises(ResourceGuardError):
         list(enumerate_trees(12))
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ValueError, match="n >= 2"):
         list(enumerate_trees(1))
 
 
