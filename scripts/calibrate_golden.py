@@ -1,37 +1,42 @@
-"""Pilot runs that freeze the golden thresholds used by the test suite.
+"""Freeze the golden thresholds of acceptance criteria 07 and 08.
 
-The limit theorems verified here come without convergence rates, so
-finite-n tolerances cannot be derived a priori.  This script runs each
-statistical check once under a dedicated pilot seed and records
-thresholds with explicit slack:
+Criterion 07 draws R = 100,000 first-level degree tables (X_1, .., X_dmax)
+at n = 10^5 and holds them to Poisson(1) statistics; the limit theorem
+behind it comes without a convergence rate.  This script makes no
+Monte Carlo run of the tree engine: each threshold below is computed from
+the exact engines and from the threshold's own null distribution, and its
+false-failure rate is recorded with it.
 
-* total-variation distances to Poisson(1): delta_d + q.  delta_d bounds
-  the TV between the exact n-node law of X_d and Poisson(1), from the
-  factorial-moment recursion (Bonferroni truncation counted as slack); q
-  is the 1 - alpha quantile of the TV of R multinomial draws from
-  Poisson(1), over S simulated draws.  By the triangle inequality a
-  correct sampler exceeds a threshold only when its empirical law is more
-  than q from the exact law, which happens with probability about
-  alpha = 1e-4 (q is taken under Poisson(1), within delta_d of that law).
-  The TV checks of criterion 07 thus fail falsely with probability at
-  most d_max * alpha = 3e-4.  The pilot's own TV draws are recorded as
-  headroom;
-* pairwise correlations: 1.5 x max(pilot |corr|, 4/sqrt(R)) - the floor
-  keeps a lucky near-zero pilot draw from freezing an unpassable bar, and
-  holds each pair's false-failure rate below 2e-9 (6 standard errors);
-* degree-distribution tolerance: the 0.01 target, with the pilot's
-  observed deviations recorded to show the headroom (~50x).
+* TV distance of X_d to Poisson(1): delta_d + q.  delta_d bounds the TV
+  between the exact n-node law of X_d and Poisson(1), from factorial
+  moments of order 14 by the float recursion (Bonferroni truncation
+  charged in full).  q is the 1 - alpha quantile of the TV of R
+  multinomial draws from Poisson(1), over S = 4,000,000 simulated draws
+  under PILOT_SEED; those draws are the only random numbers used.  By the
+  triangle inequality a correct sampler exceeds delta_d + q only when its
+  empirical law is more than q from the exact law, with probability about
+  alpha = 1e-4 (q is taken under Poisson(1), within delta_d of that law),
+  so the d_max TV checks fail falsely with probability d_max * alpha.
+* Pairwise correlation of X_a and X_b: 1.5 * max(|rho_ab|, 4 / sqrt(R)),
+  with rho_ab the exact correlation at n from the factorial moments of
+  e_a, 2 e_a and e_a + e_b.  The sample correlation is close to
+  N(rho_ab, 1/R), so each pair fails falsely with probability
+  erfc((thr - rho) sqrt(R/2))/2 + erfc((thr + rho) sqrt(R/2))/2; at the
+  floor (thr = 6/sqrt(R)) that is below 2e-9.
+* Mean of X_1 at 4 standard errors: the two-sided normal rate
+  erfc(4/sqrt(2)).
+* Criterion 08's degree-fraction tolerance: the fixed 0.01 target at
+  n = 10^6, 3 replications.
 
-Regenerate with:  python scripts/calibrate_golden.py [--quick]
-(--quick shrinks replication counts ~100x for a smoke run; do not commit
-its output; the acceptance suite checks this).  The committed
-tests/golden.json was produced by a full run and records each stated
-false-failure rate.
+Regenerate with:  python scripts/calibrate_golden.py [--out PATH]
+(a few seconds).  The committed tests/golden.json is its unedited output;
+``quick`` stays false for the acceptance suite's check.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -40,13 +45,15 @@ from pathlib import Path
 
 import numpy as np
 
-from urtlab import ExperimentConfig, run_experiment
 from urtlab.experiments import _poisson1_pmf
 from urtlab.moments import ExponentVector, factorial_moments_float
 from urtlab.rng import generator
 
-PILOT_SEED = 20250101
+PILOT_SEED = 20250101  # seeds the multinomial null draws behind q
 OUT = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
+N = 100_000  # criterion 07's node count
+REPLICATIONS = 100_000  # R: criterion 07's replications
+D_MAX = 3
 TV_ALPHA = 1e-4  # false-failure rate of each TV threshold
 NULL_DRAWS = 4_000_000  # S: simulated multinomial samples behind q
 MOMENT_ORDER = 14  # factorial moments behind delta_d
@@ -70,6 +77,28 @@ def exact_tv_bound(n: int, d: int, order: int = MOMENT_ORDER) -> float:
     return 0.5 * total
 
 
+def exact_correlations(n: int, d_max: int) -> dict[str, float]:
+    """Exact correlation of X_a and X_b on n nodes, for each pair a < b <= d_max.
+
+    One float recursion over the vectors e_a, 2 e_a and e_a + e_b:
+    E[X_a X_b] is the moment of e_a + e_b, and Var X_a = E(X_a)_2 + E X_a - (E X_a)^2.
+    """
+    def vec(*degrees: int) -> ExponentVector:
+        k = [0] * d_max
+        for d in degrees:
+            k[d - 1] += 1
+        return ExponentVector(tuple(k))
+
+    degrees = range(1, d_max + 1)
+    pairs = list(itertools.combinations(degrees, 2))
+    m = factorial_moments_float(n, [vec(a) for a in degrees] + [vec(a, a) for a in degrees]
+                                + [vec(a, b) for a, b in pairs])
+    mean = {a: m[vec(a)] for a in degrees}
+    var = {a: m[vec(a, a)] + mean[a] - mean[a] ** 2 for a in degrees}
+    return {f"{a}-{b}": (m[vec(a, b)] - mean[a] * mean[b]) / math.sqrt(var[a] * var[b])
+            for a, b in pairs}
+
+
 def null_tv_quantile(reps: int, alpha: float, draws: int) -> float:
     """1 - alpha quantile of TV to Poisson(1) of R = reps exact Poisson(1) draws.
 
@@ -90,80 +119,46 @@ def null_tv_quantile(reps: int, alpha: float, draws: int) -> float:
     return float(np.quantile(tv, 1.0 - alpha, method="higher"))
 
 
-def pilot_first_level(reps: int, draws: int, n: int = 100_000, d_max: int = 3) -> dict:
-    cfg = ExperimentConfig(
-        experiment="first_level_degrees", n_grid=(n,), replications=reps,
-        seed=PILOT_SEED, d_max=d_max,
-    )
-    report = run_experiment(cfg)
-    tv = {}
-    corr = {}
-    for row in report.rows:
-        kind = row["point"].get("kind")
-        if kind == "tv_poisson1":
-            tv[str(row["point"]["d"])] = row["estimate"]
-        elif kind == "correlation":
-            corr[f"{row['point']['d1']}-{row['point']['d2']}"] = abs(row["estimate"])
-    floor = 4.0 / math.sqrt(reps)
-    corr_threshold = {p: 1.5 * max(v, floor) for p, v in corr.items()}
-    delta = {d: exact_tv_bound(n, int(d)) for d in tv}
-    q = null_tv_quantile(reps, TV_ALPHA, draws)
-    # two-sided normal tails: the mean is checked at 4 SE, and sqrt(R) * corr
-    # is close to N(0, 1) for counts whose exact correlation is ~0
+def first_level_thresholds() -> dict:
+    delta = {str(d): exact_tv_bound(N, d) for d in range(1, D_MAX + 1)}
+    q = null_tv_quantile(REPLICATIONS, TV_ALPHA, NULL_DRAWS)
+    rho = exact_correlations(N, D_MAX)
+    corr_threshold = {p: 1.5 * max(abs(r), 4.0 / math.sqrt(REPLICATIONS)) for p, r in rho.items()}
+    z = math.sqrt(REPLICATIONS / 2.0)
     rates = {
-        "tv": len(tv) * TV_ALPHA,
+        "tv": D_MAX * TV_ALPHA,
         "mean_4se": math.erfc(4.0 / math.sqrt(2.0)),
-        "correlation": sum(math.erfc(t * math.sqrt(reps / 2.0))
-                           for t in corr_threshold.values()),
+        "correlation": sum(0.5 * math.erfc((t - rho[p]) * z) + 0.5 * math.erfc((t + rho[p]) * z)
+                           for p, t in corr_threshold.items()),
     }
     rates["criterion_07"] = sum(rates.values())
     return {
-        "n": n,
-        "replications": reps,
-        "d_max": d_max,
-        "pilot_tv": tv,
-        "pilot_abs_corr": corr,
+        "n": N,
+        "replications": REPLICATIONS,
+        "d_max": D_MAX,
         "tv_alpha": TV_ALPHA,
-        "null_draws": draws,
+        "null_draws": NULL_DRAWS,
         "null_tv_quantile": q,
         "moment_order": MOMENT_ORDER,
         "exact_tv_bound": delta,
-        "tv_threshold": {d: delta[d] + q for d in tv},
+        "tv_threshold": {d: delta[d] + q for d in delta},
+        "exact_corr": rho,
         "corr_threshold": corr_threshold,
         "false_failure_rate": rates,
     }
 
 
-def pilot_degree_distribution(reps: int, n: int = 1_000_000) -> dict:
-    observed = {}
-    for model in ("uniform", "preferential"):
-        cfg = ExperimentConfig(
-            experiment="degree_distribution", n_grid=(n,), replications=reps,
-            seed=PILOT_SEED, model=model, d_max=5,
-        )
-        report = run_experiment(cfg)
-        observed[model] = max(abs(r["estimate"] - r["limit"]) for r in report.rows)
-    return {
-        "n": n,
-        "replications": reps,
-        "tolerance": 0.01,
-        "pilot_max_abs_diff": observed,
-    }
-
-
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="smoke run, ~100x smaller")
     parser.add_argument("--out", default=str(OUT))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    scale = 100 if args.quick else 1
     t0 = time.time()
     golden = {
         "pilot_seed": PILOT_SEED,
-        "quick": bool(args.quick),
-        "first_level_degrees": pilot_first_level(100_000 // scale, NULL_DRAWS // scale),
-        "degree_distribution": pilot_degree_distribution(3),
+        "quick": False,
+        "first_level_degrees": first_level_thresholds(),
+        "degree_distribution": {"n": 1_000_000, "replications": 3, "tolerance": 0.01},
     }
     golden["pilot_runtime_s"] = round(time.time() - t0, 1)
     Path(args.out).write_text(json.dumps(golden, indent=2) + "\n")

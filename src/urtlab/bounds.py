@@ -50,22 +50,30 @@ def expected_children(i: int, n: int) -> float:
     return total
 
 
+def _quadratic_bound(gap: float, scale: float) -> float:
+    """``exp(-gap^2 / (2 scale))`` for finite ``0 < gap <= scale``."""
+    try:
+        return math.exp(-(gap**2) / (2.0 * scale))
+    except OverflowError:  # gap^2 past the double range: the same exponent, rearranged
+        return math.exp(-0.5 * (gap / scale) * gap)
+
+
 def upper_tail_bound(a: float, s: float) -> float:
-    """Quadratic Chernoff bound on ``P(X >= a)`` for ``a > s > 0``."""
+    """Quadratic Chernoff bound on ``P(X >= a)`` for finite ``a > s > 0``."""
     a = float(a)
     s = float(s)
-    if not a > s > 0:
-        raise ValueError(f"upper tail bound needs a > s > 0, got a={a}, s={s}")
-    return math.exp(-((a - s) ** 2) / (2.0 * a))
+    if not (math.isfinite(a) and a > s > 0):
+        raise ValueError(f"upper tail bound needs finite a > s > 0, got a={a}, s={s}")
+    return _quadratic_bound(a - s, a)
 
 
 def lower_tail_bound(a: float, s: float) -> float:
-    """Quadratic Chernoff bound on ``P(X <= a)`` for ``0 <= a < s``."""
+    """Quadratic Chernoff bound on ``P(X <= a)`` for finite ``0 <= a < s``."""
     a = float(a)
     s = float(s)
-    if not 0 <= a < s:
-        raise ValueError(f"lower tail bound needs 0 <= a < s, got a={a}, s={s}")
-    return math.exp(-((s - a) ** 2) / (2.0 * s))
+    if not (math.isfinite(s) and 0 <= a < s):
+        raise ValueError(f"lower tail bound needs finite 0 <= a < s, got a={a}, s={s}")
+    return _quadratic_bound(s - a, s)
 
 
 def chernoff_upper_raw(a: float, s: float) -> float:
@@ -75,16 +83,25 @@ def chernoff_upper_raw(a: float, s: float) -> float:
     """
     a = float(a)
     s = float(s)
-    if not a > s > 0:
-        raise ValueError(f"raw Chernoff bound needs a > s > 0, got a={a}, s={s}")
+    if not (math.isfinite(a) and a > s > 0):
+        raise ValueError(f"raw Chernoff bound needs finite a > s > 0, got a={a}, s={s}")
     beta = a / s
-    return math.exp(s * (beta - 1.0 - beta * math.log(beta)))
+    exponent = s * (beta - 1.0 - beta * math.log(beta))
+    if not math.isfinite(exponent):  # b or b ln b past the double range: same exponent, by logs
+        exponent = a - s - a * (math.log(a) - math.log(s))
+    return math.exp(exponent)
+
+
+def _check_n(n: int) -> None:
+    if not n >= 1:
+        raise ValueError(f"index bounds need n >= 1, got n={n}")
 
 
 def tail_bound_high_index(n: int, t: float, eps: float) -> float:
     """Bound on ``P(X > t ln n)`` valid for every node ``i > n^(1-t+eps)``:
-    ``n^(-eps^2 / (2t))``.  Needs ``0 < eps < t < 1``.
+    ``n^(-eps^2 / (2t))``.  Needs ``n >= 1`` and ``0 < eps < t < 1``.
     """
+    _check_n(n)
     if not 0.0 < eps < t < 1.0:
         raise ValueError(f"high-index bound needs 0 < eps < t < 1, got t={t}, eps={eps}")
     return math.exp(-(eps**2) / (2.0 * t) * math.log(n))
@@ -93,8 +110,9 @@ def tail_bound_high_index(n: int, t: float, eps: float) -> float:
 def tail_bound_low_index(n: int, t: float, eps: float) -> float:
     """Bound on ``P(X <= t ln n)`` valid for every node
     ``i <= n^(1-t-eps) - 1``: ``n^(-eps^2 / (2(t+eps)))``.
-    Needs ``0 < t < 1`` and ``0 < eps < 1 - t``.
+    Needs ``n >= 1``, ``0 < t < 1`` and ``0 < eps < 1 - t``.
     """
+    _check_n(n)
     if not 0.0 < t < 1.0:
         raise ValueError(f"low-index bound needs 0 < t < 1, got t={t}")
     if not 0.0 < eps < 1.0 - t:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bnd
@@ -24,7 +25,9 @@ from .tree import grow, grow_from_sequence, load_tree, save_tree
 
 
 def _echo(command: str, settings: dict) -> None:
-    printable = {k: v for k, v in settings.items() if v is not None}
+    # a non-finite float is echoed as its text ("inf"), which keeps the line JSON
+    printable = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in settings.items() if v is not None}
     print(f"# urtlab {command} {json.dumps(printable)}", file=sys.stderr)
 
 
@@ -193,7 +196,7 @@ def _cmd_bounds(args) -> int:
         payload["low_index_bound"] = low
     if not payload:
         raise ValueError("nothing to compute: provide --i/--n [--a] and/or --t/--eps/--n")
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 
 

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Statistical criteria run under the frozen seed 20250202; thresholds that
-cannot be derived a priori come from tests/golden.json, produced by the
-documented pilot in scripts/calibrate_golden.py (pilot seed 20250101);
+cannot be derived a priori come from tests/golden.json, written by
+scripts/calibrate_golden.py from the exact engines and each threshold's
+null distribution (seed 20250101 feeds only its multinomial null draws);
 only the tests that read it fail when it is missing.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines as
 they complete.
 """
 
+import importlib.util
 import itertools
 import json
 import math
@@ -44,6 +46,7 @@ from urtlab.oracle import child_count_tails
 
 ACCEPT_SEED = 20250202
 GOLDEN_PATH = Path(__file__).parent / "golden.json"
+PILOT_PATH = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_golden.py"
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,24 @@ def test_golden_file_comes_from_a_full_pilot(golden):
     assert first["replications"] == 100_000
     for d, threshold in first["tv_threshold"].items():
         assert threshold >= first["null_tv_quantile"], (d, threshold)
+
+
+def test_golden_file_is_what_the_pilot_writes(golden, tmp_path):
+    """The pilot, rerun in-process (a few seconds), writes the committed thresholds."""
+    spec = importlib.util.spec_from_file_location("calibrate_golden", PILOT_PATH)
+    pilot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pilot)
+    out = tmp_path / "golden.json"
+    assert pilot.main(["--out", str(out)]) == 0
+    fresh = json.loads(out.read_text())
+    assert fresh["degree_distribution"] == golden["degree_distribution"]
+    fresh, first = fresh["first_level_degrees"], golden["first_level_degrees"]
+    for key in ("corr_threshold", "null_tv_quantile", "exact_corr"):
+        assert fresh[key] == first[key], key
+    for key in ("tv_threshold", "false_failure_rate"):
+        assert fresh[key].keys() == first[key].keys(), key
+        for name, value in fresh[key].items():
+            assert abs(value - first[key][name]) <= 1e-13, (key, name, value)
 
 
 def _vectors_d3_k3():

@@ -98,6 +98,21 @@ def test_pair_bounds_approach_one_for_tiny_eps():
     assert low == pytest.approx(1.0, abs=1e-9)
 
 
+def test_bounds_past_the_double_range():
+    # a square or a ratio past the double range takes a rearranged exponent
+    assert upper_tail_bound(1e200, 2.0) == 0.0
+    assert chernoff_upper_raw(1e200, 2.0) == 0.0
+    assert lower_tail_bound(0.0, 1e300) == 0.0
+    a = 1e-4  # a/s = 1e306 and (a/s) ln(a/s) overflow; the exponent is a(1 - ln(a/s)) - s
+    assert chernoff_upper_raw(a, 1e-310) == pytest.approx(math.exp(a * (1 - 306 * math.log(10))),
+                                                          rel=1e-12)
+    for bound, args in [(upper_tail_bound, (math.inf, 1.0)), (chernoff_upper_raw, (math.inf, 1.0)),
+                        (lower_tail_bound, (0.0, math.inf)), (tail_bound_high_index, (0, 0.5, 0.1)),
+                        (tail_bound_low_index, (0, 0.5, 0.1))]:
+        with pytest.raises(ValueError):
+            bound(*args)
+
+
 def test_pair_bounds_domain():
     with pytest.raises(ValueError):
         tail_bound_high_index(100, 0.5, 0.6)  # eps >= t

@@ -398,15 +398,31 @@ def test_bounds_expected_children_past_its_span_guard_exits_2(capsys, work):
     assert err.count("error:") == 1 and "expected children are guarded" in err
 
 
-def test_bounds_rejects_a_nan_threshold(capsys):
-    code, out, err = run_cli(capsys, "bounds", "--i", "1", "--n", "3", "--a", "nan")
+@pytest.mark.parametrize("a, message", [
+    ("nan", "threshold must be a number"),
+    ("inf", "needs finite a > s > 0"),
+    ("1e200", None),  # finite: both upper bounds underflow to 0
+], ids=["nan", "inf", "1e200"])
+def test_bounds_rejects_a_nan_threshold(capsys, a, message):
+    code, out, err = run_cli(capsys, "bounds", "--i", "1", "--n", "3", "--a", a)
+    assert "NaN" not in out + err and "Infinity" not in out + err
+    if message is None:
+        assert code == 0 and "error:" not in err
+        payload = json.loads(out)
+        assert payload["upper_tail_bound"] == payload["chernoff_upper_raw"] == 0.0
+        return
     assert code == 1 and out == ""
-    assert err.count("error:") == 1 and "threshold must be a number" in err
+    assert err.count("error:") == 1 and message in err
 
 
-def test_bounds_domain_error_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "bounds", "--n", "100", "--t", "0.5", "--eps", "0.9")
-    assert code == 1
+@pytest.mark.parametrize("n, eps, message", [
+    ("100", "0.9", "0 < eps < t < 1"),
+    ("0", "0.1", "n >= 1, got n=0"),
+], ids=["eps-past-t", "n-zero"])
+def test_bounds_domain_error_exit_code(capsys, n, eps, message):
+    code, out, err = run_cli(capsys, "bounds", "--n", n, "--t", "0.5", "--eps", eps)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and message in err
 
 
 def test_bounds_without_work_is_invalid(capsys):
