@@ -177,10 +177,10 @@ def _cmd_bounds(args) -> int:
         if args.a is not None:
             a = args.a
             payload["a"] = a
-            if a > s:
+            if s > 0 and a > s:  # both bounds need s > 0; at i = n, X = 0 and the tails are exact
                 payload["upper_tail_bound"] = bnd.upper_tail_bound(a, s)
                 payload["chernoff_upper_raw"] = bnd.chernoff_upper_raw(a, s)
-            elif a < s:
+            elif s > 0 and a < s:
                 payload["lower_tail_bound"] = bnd.lower_tail_bound(a, s)
             # P(X >= a) pairs with the upper bound, P(X <= a) with the lower
             strict_below = a - 1 if float(a).is_integer() else a

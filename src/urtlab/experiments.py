@@ -493,9 +493,11 @@ def _level_sizes_rows(config, n, table):
 def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
     """Mean level sizes with exact expectations and the (ln n)^k/k! ratio.
 
-    Levels whose (ln n)^k/k! is no normal double are refused before
-    anything is simulated.
+    Negative levels, and levels whose (ln n)^k/k! is no normal double, are
+    refused before anything is simulated.
     """
+    if min(config.k_grid) < 0:
+        raise ValueError(f"level k must be >= 0, got {min(config.k_grid)}")
     for n, k in itertools.product(config.n_grid, config.k_grid):
         _level_scale(n, k)
     return _run(config, _kernel_level_sizes, _level_sizes_rows)

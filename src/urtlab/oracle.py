@@ -357,8 +357,8 @@ def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
 
 
 def _degree_law(i: int, n: int, threshold: float, upper: bool):
-    if not 1 <= int(i) < int(n):
-        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
+    if not 1 <= int(i) <= int(n):  # at i = n, X = 0: the zero span is answered at once
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     return _degree_law_sums(int(n), [int(i)], threshold, upper).tolist()[0]
 
 

@@ -106,8 +106,11 @@ def exceedance_count(tree: RecursiveTree, k: int, t: float) -> int:
 def degree_counts_in_level(tree: RecursiveTree, k: int) -> LevelDegreeProfile:
     """Histogram of degrees among level-``k`` nodes.
 
-    An empty level yields empty counts with ``level_size`` 0.
+    An empty level yields empty counts with ``level_size`` 0; a negative
+    one is refused.
     """
+    if k < 0:
+        raise ValueError(f"level k must be >= 0, got {k}")
     return _profile(k, tree.degree[tree.in_level(k)])
 
 
@@ -146,6 +149,8 @@ def streamed_level_profiles(n: int, seed: int, ks: Iterable[int]) -> dict[int, L
     child count, plus its parent edge for ``k >= 1``.
     """
     ks = sorted({int(k) for k in ks})
+    if ks[0] < 0:
+        raise ValueError(f"level k must be >= 0, got {ks[0]}")
     own = {k: [np.arange(1 if k == 0 else 0)] for k in ks}  # the root is level 0
     kids = {k: [np.empty(0, dtype=np.int64)] for k in ks}
     for start, parent, levels in _streamed_levels(n, seed, ks[-1] + 1):

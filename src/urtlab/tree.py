@@ -25,8 +25,9 @@ blocks come from :func:`_uniform_blocks`.  The picks are numpy's own
 bounded draws, ``rng.integers(0, bounds)``: :class:`_Words` makes them by
 Lemire's method, as numpy does, from the bit generator's raw 32-bit words,
 in bulk rather than one element at a time.  Equality tests pin every draw,
-and the generator's state after growth, to the installed numpy.  Bounds of
-2^32 and more go through ``rng.integers`` itself.
+and the generator's state after growth, to the installed numpy.  A call
+whose largest bound reaches :data:`_VECTOR_TOP` goes through
+``rng.integers`` itself, whole.
 
 Copied parents and levels are both chains of links to earlier nodes, and
 both come from one forward pass over blocks of nodes: since
@@ -63,12 +64,15 @@ GROWTH_BYTES_PER_NODE = 32
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of uniform draws and of the level pass
 
-# _Words: each rejected word costs one more vector pass.  On 2 vCPU a block
-# of 16,384 bounds below 10^6 drew in 105-140 us against numpy's ~200, near
-# 5 x 10^6 (a rejection per ~1,700 words) in ~250, and near 10^8 in
-# 5,400-6,500 against 210-410; so once at least 8 rejections come one per
-# _REJECT_GAP words or faster, numpy draws the rest
-_REJECT_GAP = 1024
+# _Words: each rejected word costs one more vector pass, and consecutive
+# bounds near T reject about T / 2^33 of their words.  One block of 16,384
+# bounds up to T, vector pass against numpy, medians of 80 alternating draws
+# in two runs on 2 vCPU: 135-237 us against 188-328 at T = 10^6, 185-310
+# against 189-339 at 2 x 10^6, 187-317 against 189-333 at 2.5 x 10^6,
+# 218-241 against 186 at 3 x 10^6, 375-690 against 179-353 at 8 x 10^6 and
+# 5,234-6,661 against 340-367 at 10^8.  So a call whose largest bound
+# reaches _VECTOR_TOP (at most 2^32) is numpy's
+_VECTOR_TOP = 2_500_000
 # words in one vector pass: at least after a rejection, and at most; at the
 # most every temporary stays below 64 KiB, and glibc trims the heap only when
 # a larger chunk is freed, so blocks do not fault its pages back in
@@ -231,10 +235,11 @@ class _Words:
     ``random_raw`` and tests them all at once.  At the first rejected word
     the words after it go back to the queue, that element takes words one
     at a time until one is kept, and the vector pass resumes after it.
-    Once rejections come more often than one per :data:`_REJECT_GAP` words,
-    the pass costs more than numpy's own loop: the queue is drained and
-    ``rng.integers`` draws from there on.  It also draws any array whose
-    bounds reach 2^32.
+
+    Each call takes one path, chosen by its largest bound alone: below
+    :data:`_VECTOR_TOP` the vector pass draws all of it; from there on, where
+    rejections make the pass cost more than numpy's own loop, the state is
+    synced and ``rng.integers`` draws all of it.
 
     Use it as a context manager: the pending half word is read on entry and
     written back on exit, so ``rng`` then stands where numpy's own draws
@@ -244,7 +249,6 @@ class _Words:
 
     def __init__(self, rng: np.random.Generator):
         self._rng, self._bits = rng, rng.bit_generator
-        self._numpy = False
 
     def __enter__(self) -> "_Words":
         state = self._bits.state
@@ -256,8 +260,6 @@ class _Words:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._numpy:  # handed over: numpy keeps the state itself
-            return
         state = self._bits.state
         state["has_uint32"] = int(self._head < self._size)  # then that word is self._last
         state["uinteger"] = self._last
@@ -268,10 +270,8 @@ class _Words:
         value for value and word for word."""
         if not highs.size:
             return np.zeros(0, dtype=np.int64)
-        if self._numpy:
-            return self._rng.integers(0, highs, dtype=np.int64)
         top = int(highs.max())
-        if top >= 1 << 32:
+        if top >= _VECTOR_TOP:
             self.__exit__()
             out = self._rng.integers(0, highs, dtype=np.int64)
             self.__enter__()
@@ -304,17 +304,8 @@ class _Words:
 
     def _lemire(self, highs: np.ndarray, top: int, out: np.ndarray) -> None:
         """Draws into ``out`` for uint64 bounds in ``[2, top]``, ``top < 2^32``."""
-        # a word is rejected with chance (2^32 mod h) / 2^32 < top / 2^32: a first
-        # window of 16 x 2^32 / top words holds fewer than 16 rejections on average
-        pos, rejected, window = 0, 0, min(max(_WINDOW_MIN, (16 << 32) // top), _WINDOW_MAX)
+        pos, window = 0, _WINDOW_MAX
         while pos < highs.size:
-            if rejected >= 8 and rejected * _REJECT_GAP > pos:
-                if self._size - self._head <= 1:  # drained: no word is drawn ahead of numpy
-                    self.__exit__()
-                    self._numpy = True
-                    out[pos:] = self.integers(highs[pos:].view(np.int64))
-                    return
-                window = min(window, self._size - self._head)
             stop = min(pos + window, highs.size)
             h = highs[pos:stop]
             product = np.multiply(self._take(h.size), h, out=out[pos:stop])
@@ -326,7 +317,6 @@ class _Words:
                 pos, window = stop, min(2 * window, _WINDOW_MAX)
                 continue
             j = int(rejects[0])
-            rejected += 1
             self._head -= stop - pos - j - 1  # the words after the rejected one go back
             out[pos + j] = self._redraw(int(h[j]))
             pos, window = pos + j + 1, min(max(_WINDOW_MIN, 2 * (j + 1)), _WINDOW_MAX)

@@ -425,6 +425,18 @@ def test_bounds_domain_error_exit_code(capsys, n, eps, message):
     assert err.count("error:") == 1 and message in err
 
 
+@pytest.mark.parametrize("a, geq", [("1", 0.0), ("0", 1.0)])
+def test_bounds_at_the_last_node_gives_exact_tails(capsys, a, geq):
+    """Node n gains no children: X = 0, no Chernoff bound applies at s = 0,
+    and both exact tails are printed."""
+    code, out, err = run_cli(capsys, "bounds", "--i", "10", "--n", "10", "--a", a)
+    assert code == 0 and "error:" not in err
+    payload = json.loads(out)
+    assert payload["s"] == 0.0
+    assert payload["exact_tail_geq_a"] == geq and payload["exact_tail_leq_a"] == 1.0
+    assert not {"upper_tail_bound", "chernoff_upper_raw", "lower_tail_bound"} & payload.keys()
+
+
 def test_bounds_without_work_is_invalid(capsys):
     code, _, _ = run_cli(capsys, "bounds")
     assert code == 1
@@ -579,13 +591,20 @@ def test_experiment_unknown_id(capsys):
 
 
 @pytest.mark.parametrize("params", [
-    ["--statistic", "level_size"],
-    ["--statistic", "level_degree_count", "--d", "1"],
-    ["--statistic", "exceedance_count", "--t", "0.5"],
+    ["enumerate", "--n", "4", "--statistic", "level_size"],
+    ["enumerate", "--n", "4", "--statistic", "level_degree_count", "--d", "1"],
+    ["enumerate", "--n", "4", "--statistic", "exceedance_count", "--t", "0.5"],
+    ["stats", "--n", "10", "--seed", "1"],
+    ["stats", "--n", "10", "--seed", "1", "--t", "0.5"],
+    ["experiment", "level_sizes", "--n", "100", "--reps", "2", "--seed", "1"],
 ])
-def test_enumerate_refuses_a_negative_level(capsys, params):
-    code, out, err = run_cli(capsys, "enumerate", "--n", "4", *params, "--k", "-1")
-    assert code == 1 and out == ""
+def test_enumerate_refuses_a_negative_level(capsys, monkeypatch, params):
+    """So do stats, which answered level -1 with an empty profile, and
+    level_sizes, before anything is simulated."""
+    calls = []
+    monkeypatch.setattr(experiments, "_kernel_level_sizes", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, *params, "--k", "-1")
+    assert code == 1 and out == "" and calls == []
     assert err.count("error:") == 1 and "Traceback" not in err
     assert "level k must be >= 0, got -1" in err
 

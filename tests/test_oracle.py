@@ -156,8 +156,9 @@ def test_degree_tail_guard_and_domain():
     assert peak < 2**20
     with pytest.raises(ValueError):
         degree_tail(0, 10, 1)
-    with pytest.raises(ValueError):
-        degree_tail(10, 10, 1)
+    with pytest.raises(ValueError, match="need 1 <= i <= n"):
+        degree_tail(11, 10, 1)
+    assert degree_tail(10, 10, 1) == 0  # node n gains no children
     with pytest.raises(ValueError):
         degree_head(1, 10**6, math.nan)
 

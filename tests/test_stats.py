@@ -86,6 +86,13 @@ def test_degree_counts_in_level_empty_level():
     assert p.counts == {} and p.level_size == 0
 
 
+def test_negative_levels_are_refused_streamed_or_not():
+    with pytest.raises(ValueError, match="level k must be >= 0, got -1"):
+        degree_counts_in_level(grow_from_sequence([0, 0]), -1)
+    with pytest.raises(ValueError, match="level k must be >= 0, got -1"):
+        stats.streamed_level_profiles(100, 1, (1, -1))
+
+
 def test_profile_json_shape():
     p = degree_counts_in_level(grow_from_sequence([0, 0, 1]), 1)
     d = p.to_dict()

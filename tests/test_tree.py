@@ -15,9 +15,11 @@ from urtlab import (
     save_tree,
     validate,
 )
+from urtlab import tree as tree_module
 from urtlab.rng import derive_seed, generator
 from urtlab.tree import (
     _LEVEL_BLOCK,
+    _VECTOR_TOP,
     _levels_from_parents,
     _preferential_parents,
     _uniform_parents,
@@ -245,9 +247,11 @@ def _shape(name, n):
     return parent
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1000, B - 1, B, B + 1, 3 * B + 7, 100_000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1000, B - 1, B, B + 1, 3 * B + 7, 100_000,
+                               _VECTOR_TOP + 7])
 def test_blocked_uniform_parents_are_the_whole_draw(n):
-    """Blocks of draws concatenate to one draw and leave the generator where it would."""
+    """Blocks of draws concatenate to one draw and leave the generator where it
+    would, also where later blocks switch to numpy's own draws."""
     for seed in (0, 7, 2**63, 2**64 - 1):
         blocked, whole = generator(seed), generator(seed)
         parent = _uniform_parents(n, blocked)
@@ -260,8 +264,8 @@ def test_blocked_uniform_parents_are_the_whole_draw(n):
 WORD_SEEDS = (0, 7, 2**63, 2**64 - 1)
 
 
-@pytest.mark.parametrize("calls", [
-    # about half the words are rejected, often several in a row; numpy takes over part way
+WORD_CALLS = pytest.mark.parametrize("calls", [
+    # about half the words are rejected, often several in a row
     [np.full(5000, 2**31 + 1)],
     [np.full(5000, 2**31 + 1), np.arange(2, 100)],
     # 999 words: the high half of the last raw word waits for the next call, then stays pending
@@ -271,10 +275,16 @@ WORD_SEEDS = (0, 7, 2**63, 2**64 - 1)
     [np.zeros(0, dtype=np.int64), np.arange(1, 4), np.zeros(0, dtype=np.int64)],
     [np.array([1, 5, 1, 1, 3, 1])],
     [np.arange(1, B + 1), np.arange(B + 1, 2 * B + 1)],
+    # bounds of 1 split a call that numpy draws whole; the next call draws on from its state
+    [np.concatenate((np.full(5000, 2**31 + 1), [1], np.full(50, 2**31 + 1), [1], np.arange(2, 40))),
+     np.arange(2, 30)],
+    [np.arange(_VECTOR_TOP - 8, _VECTOR_TOP + 8), np.arange(2, 50)],
 ], ids=["rejections", "rejections_then_more", "odd_word_count", "straddling_2^32", "empty",
-        "bounds_of_one", "uniform_blocks"])
-@pytest.mark.parametrize("pending", [False, True], ids=["", "pending_half"])
-def test_words_draw_numpys_bounded_integers(calls, pending):
+        "bounds_of_one", "uniform_blocks", "ones_around_numpy", "straddling_vector_top"])
+PENDING = pytest.mark.parametrize("pending", [False, True], ids=["", "pending_half"])
+
+
+def _check_words(calls, pending):
     """Each call equals numpy's own draw, and the generator ends in numpy's state."""
     for seed in WORD_SEEDS:
         ours, numpys = generator(seed), generator(seed)
@@ -286,6 +296,21 @@ def test_words_draw_numpys_bounded_integers(calls, pending):
                 expected = numpys.integers(0, highs, dtype=np.int64)
                 assert np.array_equal(words.integers(highs), expected)
         assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+
+
+@WORD_CALLS
+@PENDING
+def test_words_draw_numpys_bounded_integers(calls, pending):
+    _check_words(calls, pending)
+
+
+@WORD_CALLS
+@PENDING
+def test_vector_pass_draws_numpys_bounded_integers(calls, pending, monkeypatch):
+    """With the cutoff at 2^32 the vector pass draws every call below it,
+    so its rejections and redraws are pinned too."""
+    monkeypatch.setattr(tree_module, "_VECTOR_TOP", 1 << 32)
+    _check_words(calls, pending)
 
 
 @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7, 10**6])
