@@ -448,6 +448,48 @@ def test_tails_up_to_a_span_of_ten_thousand_are_pinned_bit_for_bit():
     assert digests == SINGLE_BLOCK_DIGESTS
 
 
+# sha256 of the str() of every Fraction below, one per line: the rational
+# answers for n <= 64, on thresholds below 0, non-integer, and at or past the span
+EXACT_NS = [1, 2, 3, 4, 7, 12, 30, 47, 64]
+EXACT_DIGESTS = {
+    "heads": "40927ee275118236d1f64885c3ac355bb63b33bbb3df007a85adc7b71ecbb47f",
+    "tails": "3f13afce202d6b330c64108aa282c01952e0d36536a1c7147751d188fa3e6096",
+    "sums": "986fe715231f8840a347c7daa7e0394b8f53a0c941f15667796f68541e78e07d",
+    "level_sizes": "faab5127c56a931db6a7f3d43484e0fa23762f96452e44bde70605796ffc43f2",
+    "level_pmfs": "663317c7cf1d26ffda851d237917ac156fbf1dfde64e7f8633413c5318a8aff1",
+}
+
+
+def _exact_thresholds(span):
+    return [-1, -0.5, 0, 0.5, 1, 2.7, 3, 5.5, 9, span - 1, span - 0.5, span, span + 0.5, span + 3]
+
+
+def test_exact_answers_are_pinned_to_their_fractions():
+    def grid(law):
+        return [law(i, n, a) for n in EXACT_NS for i in range(1, n + 1)
+                for a in _exact_thresholds(n - i)]
+
+    sums = []
+    for n in EXACT_NS:
+        for indices in (range(1, n + 1), list(range(n // 2 + 1, n + 1, 3)),
+                        np.arange(1, n + 1, 2)):
+            for a in _exact_thresholds(n - int(indices[0])):
+                for upper in (True, False):
+                    sums.extend(oracle._degree_law_sums(n, indices, a, upper).tolist())
+    values = {
+        "heads": grid(degree_head),
+        "tails": grid(degree_tail),
+        "sums": sums,
+        "level_sizes": [expected_level_size(n, k) for n in range(1, 65) for k in range(n + 2)],
+        "level_pmfs": [p for i in range(65) for p in level_pmf(i, 6)],
+    }
+    for key, v in values.items():
+        assert all(type(x) is Fraction for x in v), key
+    digests = {k: hashlib.sha256("\n".join(map(str, v)).encode()).hexdigest()
+               for k, v in values.items()}
+    assert digests == EXACT_DIGESTS
+
+
 def _binomial_acceptance(reps, p, alpha):
     """``[lo, hi]`` leaving at most ``alpha / 2`` of Binomial(reps, p) on each side."""
     pmf = [math.comb(reps, k) * p**k * (1 - p) ** (reps - k) for k in range(reps + 1)]
