@@ -49,7 +49,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import oracle
-from .moments import EXACT_MOMENT_MAX_N, ExponentVector, MomentTable, factorial_moments_float
+from .moments import ExponentVector, MomentTable, factorial_moments_float, falling_factorial
 from .oracle import _degree_law_sums
 from .rng import check_seed, derive_seed
 from .stats import (degree_histogram, exceedance_threshold, max_degree, streamed_level_profiles,
@@ -64,6 +64,7 @@ POOL_MIN_REPLICATIONS = 4  # fewer replications run in process
 # level_exceedance rows carry exact_numerator up to this n: past it the tails cost
 # ~1 s per point at 10^6, and the benchmark's 5-SE check on the count has no derived rate
 EXACT_NUMERATOR_MAX_N = 10_000
+EXACT_MOMENT_MAX_N = 4096  # first_level_degrees, its only reader, takes rational moments up to here
 
 # config fields each experiment reads besides ECHOED; its report echoes them too
 READS = {
@@ -358,10 +359,9 @@ def total_variation_to_poisson1(values: np.ndarray) -> float:
     return float(tv + 0.5 * tail)
 
 
-def _moment_vectors(d_max: int, max_total: int = 3) -> list[ExponentVector]:
-    span = min(d_max, max_total)
-    vecs = {ExponentVector(k) for k in itertools.product(range(max_total + 1), repeat=span)
-            if 1 <= sum(k) <= max_total}
+def _moment_vectors(d_max: int) -> list[ExponentVector]:
+    span = min(d_max, 3)
+    vecs = {ExponentVector(k) for k in itertools.product(range(4), repeat=span) if 1 <= sum(k) <= 3}
     return sorted(vecs, key=lambda v: (v.total, v.d, v.k))
 
 
@@ -393,11 +393,8 @@ def _first_level_degrees_rows(config, n, table):
                 corr = float(np.corrcoef(a, b)[0, 1])
             rows.append(_row({"n": n, "d1": d1, "d2": d2, "kind": "correlation"}, corr, limit=0.0))
     for vec in _moment_vectors(config.d_max):
-        prods = np.ones(table.shape[0], dtype=np.int64)
-        for d, kd in enumerate(vec.k, start=1):
-            x = table[:, d - 1]
-            for step in range(kd):
-                prods = prods * (x - step)
+        prods = math.prod(falling_factorial(table[:, d - 1], kd)
+                          for d, kd in enumerate(vec.k, start=1))
         mean, se = _mean_se(prods.astype(float))
         rows.append(_row({"n": n, "k_vector": str(vec), "kind": "factorial_moment"},
                          mean, se, references[vec], 1.0, exact_mode=exact_mode))

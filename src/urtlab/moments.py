@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import ResourceGuardError
 
-EXACT_MOMENT_MAX_N = 4096  # experiments take rational references up to here
 # exact sweeps stop here: (1, 1, 1) takes 0.3 s at 4096 and 2.3 s at 10^4 (2 vCPU)
 EXACT_MOMENT_GUARD_N = 10_000
 # an exact sweep's integers grow with n, so its cost goes as closure size x n^2:

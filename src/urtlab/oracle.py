@@ -14,10 +14,11 @@
     ``P(X <= c) = (i/n) sum_{m <= c} e_m`` and
     ``P(X > c) = (i/n) sum_{m > c} e_m``.
 
-  :func:`_truncated_product` computes them all, in exact rationals up to
-  ``n = 64`` and in double precision beyond.  The child-count laws of any
-  set of nodes come from one blocked pass, :func:`_degree_law_sums`, at any
-  ``n`` in O(block) memory plus O(1) per node, guarded by work alone.
+  :func:`_truncated_product` computes them all.  Every exact rational (the
+  default up to ``n = 64``) comes from :func:`_truncated_total`, the one
+  path over integer weights.  In floats, the child-count laws of any set of
+  nodes come from one blocked pass, :func:`_degree_law_sums`, at any ``n`` in
+  O(block) memory plus O(1) per node, guarded by work alone.
 """
 
 from __future__ import annotations
@@ -215,17 +216,6 @@ class LevelDistribution:
         return iter(self.probs)
 
 
-def _weights(lo: int, hi: int, dtype):
-    """The weights ``1/lo, .., 1/(hi-1)`` as ``(scale / j, scale)``: exact ones
-    (dtype object) as Python ints over their least common multiple, which spares
-    the passes the gcds of Fraction arithmetic, float ones as ``dtype`` over 1."""
-    j = np.arange(lo, hi, dtype=dtype)
-    if dtype is object:
-        scale = math.lcm(*range(lo, hi))
-        return scale // j, scale
-    return 1.0 / j, 1.0
-
-
 def _truncated_product(w: np.ndarray, order: int, start=None) -> Iterator[np.ndarray]:
     """Rows ``m = 0..order`` of the prefix elementary symmetric functions of ``w``.
 
@@ -245,16 +235,18 @@ def _truncated_product(w: np.ndarray, order: int, start=None) -> Iterator[np.nda
 
 
 def _truncated_total(lo: int, hi: int, dtype, order: int) -> list:
-    """``e_0..e_order`` of the weights ``1/lo, .., 1/(hi-1)``, as Fractions for
-    dtype object and as ``dtype`` otherwise.  The weights are made and carried
-    block by block, so no temporary grows with ``hi - lo``."""
-    num = Fraction if dtype is object else dtype
+    """``e_0..e_order`` of the weights ``1/lo, .., 1/(hi-1)``.  Exact ones (dtype
+    object), the module's only rationals, come from one pass over Python ints
+    scaled by the weights' lcm, which spares it the gcds of Fraction arithmetic;
+    others are ``dtype``, made and carried ``_TOTAL_BLOCK`` at a time."""
+    if dtype is object:
+        scale = math.lcm(*range(lo, hi))
+        rows = _truncated_product(scale // np.arange(lo, hi, dtype=object), order)
+        return [Fraction(row[-1], scale**m) for m, row in enumerate(rows)]
     e = None
     for b in range(lo, max(hi, lo + 1), _TOTAL_BLOCK):
-        w, scale = _weights(b, min(b + _TOTAL_BLOCK, hi), dtype)
-        start = None if e is None else [c * scale**m for m, c in enumerate(e)]
-        rows = _truncated_product(w, order, start)
-        e = [num(row[-1]) / scale**m for m, row in enumerate(rows)]
+        w = 1.0 / np.arange(b, min(b + _TOTAL_BLOCK, hi), dtype=dtype)
+        e = [dtype(row[-1]) for row in _truncated_product(w, order, e)]
     return e
 
 
@@ -299,11 +291,12 @@ def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
                      exact: Union[bool, None] = None, block: int = _TAIL_BLOCK) -> np.ndarray:
     """``(i/n) sum e_m(1/i, .., 1/(n-1))`` over ``m > threshold`` if ``upper``,
     else over ``m <= threshold``, for each ``i`` of the ascending ``indices``
-    (a list, an int array or a ``range`` in ``1..n``), read at position ``n - i``
-    of the rows of one descending pass over the weights, made and carried
-    ``block`` at a time: memory is one block plus O(1) per node, and the work,
-    longest span x rows, is guarded before any allocation.  ``exact=None``
-    means rationals, in one block, for ``n <= 64``; float heads use long double.
+    (a list, an int array or a ``range`` in ``1..n``); the work, longest span x
+    rows, is guarded before any allocation.  ``exact=None`` means rationals for
+    ``n <= 64``: a head is one :func:`_truncated_total`, a tail its complement.
+    Floats are read at position ``n - i`` of the rows of one descending pass
+    over the weights, made and carried ``block`` at a time, in O(block) memory
+    plus O(1) per node: tails in double, heads in long double.
     """
     if math.isnan(threshold):
         raise ValueError(f"threshold must be a number, got {threshold}")
@@ -326,33 +319,37 @@ def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
     if span * (top + 1) > DEGREE_TAIL_MAX_WORK:  # before anything is allocated
         raise ResourceGuardError(f"degree tails are guarded to (n - i) x rows <= "
                                  f"{DEGREE_TAIL_MAX_WORK:.0e}, got {span} x {top + 1}")
-    heads = exact or not upper  # in rationals a tail is the head's exact complement
-    dtype = object if exact else np.longdouble if heads else float
     idx = (np.arange(indices.start, indices.stop, indices.step)  # asarray walks a range
            if isinstance(indices, range) else np.asarray(indices))
     idx = idx[: np.searchsorted(idx, n - threshold)]  # those with threshold < n - i
+    if exact:  # each head is one rational total, each tail its exact complement
+        out = np.full(len(indices), at_once, dtype=object)
+        for pos, i in enumerate(idx.tolist()):
+            head = Fraction(i, n) * sum(_truncated_total(i, n, object, order))
+            out[pos] = 1 - head if upper else head
+        return out
+    dtype = float if upper else np.longdouble
     sums, carry = np.zeros(idx.size, dtype=dtype), None
-    block = span if exact else block  # rationals share one scale; float rows carry at 1.0
     for b0 in range(0, span, block):  # weights 1/(n-1-b0) down to 1/(n-b1)
         b1 = min(b0 + block, span)
-        w, scale = _weights(n - b1, n - b0, dtype)
+        w = 1.0 / np.arange(n - b1, n - b0, dtype=dtype)
         here = slice(*np.searchsorted(idx, (n - b1, n - b0)))  # positions b0+1..b1
         at = n - b0 - idx[here]
         if at.size and at[0] - at[-1] == at.size - 1:  # a run of positions: read a view
             at = slice(at[0], at[-1] - 1, -1)
-        rows = _truncated_product(w[::-1], order if heads else top, carry)
+        rows = _truncated_product(w[::-1], top if upper else order, carry)
         carry, part = [], sums[here]
         for m, row in enumerate(rows):
             carry.append(row[-1])
-            if (m <= order) == heads:  # exact row m carries scale**m: sum by Horner
-                grown = part * scale + row[at] if exact else part + row[at]
-                if b1 == span and not heads and not np.count_nonzero(grown != part):
+            if (m > order) == upper:  # rows past order make the tail, the rest the head
+                grown = part + row[at]
+                if b1 == span and upper and not np.count_nonzero(grown != part):
                     break  # log-concave: the rest of the tail is below rounding
                 part = grown
         sums[here] = part
-    sums = sums * idx * Fraction(1, n * scale**order) if exact else sums * idx / n
+    sums = sums * idx / n
     out = np.full(len(indices), at_once, dtype=type(at_once))  # last: 3 length-n arrays at most
-    out[: idx.size] = 1 - sums if exact and upper else sums
+    out[: idx.size] = sums
     return out
 
 
@@ -367,10 +364,11 @@ def degree_head(i: int, n: int, threshold: float):
 
     ``(i/n) sum_{m <= threshold} e_m(1/i, .., 1/(n-1))``: a sum of positive
     coefficients, so a small head keeps its relative accuracy, where
-    ``1 - degree_tail`` would cancel.  Rational for ``n <= 64``, float
-    beyond; any span, in the pass and guard of :func:`degree_tail`.  The float passes
-    run in long double (64-bit mantissa on x86-64): at ``n - i = 10^6`` the
-    result stays within half a unit in the last place of 50-digit mpmath values.
+    ``1 - degree_tail`` would cancel.  Rational for ``n <= 64``, from one
+    :func:`_truncated_total`; float beyond, at any span, in the pass and guard
+    of :func:`degree_tail`, run in long double (64-bit mantissa on x86-64): at
+    ``n - i = 10^6`` it stays within half a unit in the last place of 50-digit
+    mpmath values.
     """
     return _degree_law(i, n, threshold, upper=False)
 
@@ -383,10 +381,10 @@ def degree_tail(i: int, n: int, threshold: float):
     ``1 + X`` with ``n = m - 1``, so ``P(deg > c)`` is
     ``degree_tail(i, m - 1, c - 1)``.
 
-    ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``; rational arithmetic for
-    ``n <= 64``, double precision beyond: within 7e-15 relative of 50-digit
-    mpmath values at ``n - i = 10^6``.  Any span, in one pass of
-    :func:`_degree_law_sums`.  A threshold below 0 or at least ``n - i``
+    ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``; for ``n <= 64`` the exact
+    complement of :func:`degree_head`, in double precision beyond (any span,
+    one pass of :func:`_degree_law_sums`), within 7e-15 relative of 50-digit
+    mpmath values at ``n - i = 10^6``.  A threshold below 0 or at least ``n - i``
     gives the exact 1 or 0 at once; otherwise the work, ``n - i`` times the
     rows read (``threshold + 1`` for the head, about ``threshold + 40`` for
     the tail), is guarded to :data:`DEGREE_TAIL_MAX_WORK`: 0.5 s at 5 ns per
@@ -420,7 +418,7 @@ def node_level_probabilities(n: int, k: int) -> np.ndarray:
         raise ValueError(f"level must be >= 1 for non-root nodes, got {k}")
     if k >= n:
         return np.zeros(n - 1)
-    *_, row = _truncated_product(_weights(1, n - 1, float)[0], k - 1)
+    *_, row = _truncated_product(1.0 / np.arange(1, n - 1, dtype=float), k - 1)
     return row / np.arange(1, n)
 
 

@@ -495,7 +495,12 @@ def save_tree(tree: RecursiveTree, path) -> None:
 
     Trees with the ``"deterministic"`` seed marker set bit 7 of the model
     tag and store a zero seed.  Degrees and levels are recomputed on load.
+    A tree past ``2^32 + 1`` nodes, whose parents run past u32, raises
+    ``ValueError`` before the file is opened.
     """
+    if tree.n > 2**32 + 1:
+        raise ValueError(f"the dump stores parents as u32, so it holds at most 2^32 + 1 nodes, "
+                         f"got n = {tree.n}")
     tag = tree.model.value
     if tree.seed == DETERMINISTIC:
         tag |= _DETERMINISTIC_FLAG

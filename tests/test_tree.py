@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -351,6 +352,15 @@ def test_loaded_trees_carry_the_sequential_levels(tmp_path, name):
     back = load_tree(path)
     assert np.array_equal(back.level, _sequential_levels(back.parent))
     assert validate(back) == []
+
+
+def test_save_tree_refuses_parents_past_u32_before_opening_the_file(tmp_path):
+    """Parents are stored as u32, so a node count past 2^32 + 1 would wrap them;
+    no test can grow such a tree, so a stand-in carries the count."""
+    path = tmp_path / "huge.urt"
+    with pytest.raises(ValueError, match=r"at most 2\^32 \+ 1 nodes"):
+        save_tree(SimpleNamespace(n=2**32 + 2), path)
+    assert not path.exists()
 
 
 def test_levels_of_a_million_node_path_are_fast():
