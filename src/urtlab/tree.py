@@ -36,7 +36,10 @@ over the block's own links leads each of its nodes out of it.  That costs
 O(n) on uniform trees and O(n log block) at worst (a path), and holds only
 block-sized arrays beside the result.  :func:`_level_pass` alone derives
 levels, from a tree's parents or, in :mod:`urtlab.stats`, straight from
-the uniform draws.
+the uniform draws.  Capped at a small level, as the streamed statistics
+ask, it walks no chains: a uniform tree at ``n = 10^6`` holds about 15
+level-1 nodes and 100 at level 2, and the pass writes only those, reading
+each node's parent level with one gather per block.
 
 Growth is deterministic given ``(model, n, seed)``.  Trees are immutable
 after growth and safe to share across processes.
@@ -63,6 +66,32 @@ DETERMINISTIC = "deterministic"
 GROWTH_BYTES_PER_NODE = 32
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of uniform draws and of the level pass
+# _level_pass marks the levels below caps up to _MARK_CAP and walks chains
+# past it, where the rounds of marks grow with chain depth.  CPU ms per
+# replication on 2 vCPU, medians of 8 alternating in-process rounds at
+# n = 10^3 / 10^4 / 10^5 / 10^6, chain walk against marks:
+#   profile of level 5, cap 6   0.185 / 1.03 / 3.43 / 19.1    0.171 / 0.572 / 2.25 / 16.6
+#   profile of level 6, cap 7   0.177 / 0.858 / 4.00 / 29.9   0.182 / 0.642 / 3.20 / 28.4
+#   sizes to level 6, cap 6     0.203 / 0.633 / 2.45 / 19.0   0.199 / 0.371 / 1.82 / 15.3
+#   sizes to level 7, cap 7     0.137 / 0.667 / 2.52 / 18.4   0.151 / 0.504 / 2.36 / 16.7
+# streamed_level_profiles(n, seed, (k,)) and streamed_level_sizes(n, seed, k),
+# 16 rounds, a chain walk at every cap past 2 with a second gather in the
+# statistics against this constant:
+#   profile k=1   0.175 / 0.281 / 1.29 / 14.7    0.172 / 0.269 / 1.14 / 14.0
+#   profile k=2   0.292 / 1.52 / 4.57 / 18.7     0.205 / 0.425 / 2.03 / 12.7
+#   profile k=3   0.170 / 1.03 / 4.44 / 17.0     0.137 / 0.294 / 2.25 / 13.4
+#   profile k=5   0.186 / 0.814 / 3.90 / 18.9    0.171 / 0.515 / 2.53 / 16.3
+#   profile k=10  0.176 / 0.813 / 5.12 / 39.6    0.183 / 0.838 / 4.90 / 37.1
+#   profile k=20  0.259 / 0.741 / 3.61 / 32.5    0.252 / 0.701 / 3.27 / 30.0
+#   profile k=40  0.253 / 0.710 / 4.50 / 18.8    0.259 / 0.653 / 3.71 / 19.3
+#   sizes k=1     0.112 / 0.188 / 1.45 / 14.6    0.125 / 0.160 / 1.09 / 11.9
+#   sizes k=2     0.214 / 0.875 / 2.80 / 24.9    0.113 / 0.160 / 0.945 / 15.5
+#   sizes k=3     0.236 / 0.626 / 3.98 / 29.9    0.157 / 0.185 / 1.92 / 20.5
+#   sizes k=5     0.147 / 0.963 / 2.46 / 18.5    0.125 / 0.383 / 1.52 / 13.6
+#   sizes k=10    0.181 / 0.617 / 2.44 / 19.8    0.197 / 0.613 / 2.45 / 20.8
+#   sizes k=20    0.150 / 0.675 / 2.31 / 17.0    0.151 / 0.668 / 2.29 / 18.1
+#   sizes k=40    0.156 / 0.779 / 2.58 / 19.5    0.175 / 0.784 / 2.61 / 19.3
+_MARK_CAP = 6
 
 # _Words: each rejected word costs one more vector pass, and consecutive
 # bounds near T reject about T / 2^33 of their words.  One block of 16,384
@@ -101,6 +130,13 @@ class GrowthModel(Enum):
     @property
     def min_nodes(self) -> int:
         return 2 if self is GrowthModel.PREFERENTIAL else 1
+
+    def node_count(self, n: int) -> int:
+        """``n`` as an int, refused below :attr:`min_nodes`."""
+        n = int(n)
+        if n < self.min_nodes:
+            raise ValueError(f"{self.name} growth needs n >= {self.min_nodes}, got {n}")
+        return n
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -182,23 +218,47 @@ def _chain_ends(link: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_pass(blocks: Iterable[tuple[int, np.ndarray]], levels: np.ndarray,
-                cap: int) -> Iterator[tuple[int, np.ndarray]]:
+                cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Write each ``(start, parent)`` block's levels into ``levels``, capped
-    at ``cap`` (which stands for every level from ``cap`` on), then yield it.
+    at ``cap`` (which stands for every level from ``cap`` on), then yield
+    ``(start, parent, up)``: ``up`` holds each node's parent level where
+    that is below ``cap``, and a value of at least ``cap`` otherwise.
 
-    With ``cap <= 2`` level 1 is ``parent == 0`` and every other node reads
-    ``cap``.  Past it one gather, ``levels[end] + hops`` from
-    :func:`_chain_ends`, writes the block, capped in a wider type so no
-    level wraps in a narrow ``levels``.
+    Up to :data:`_MARK_CAP` the block is filled with ``cap`` and only its
+    nodes at levels ``1..cap-1``, the marks, are written.  Level 1 is
+    ``parent == 0``.  Then one gather, ``up = levels[parent]``, is exact for
+    every parent before the block and for level 1.  While a round makes new
+    marks, the nodes past the first of them gather again.  Each such gather
+    reaches one level deeper into the block, so there are at most
+    ``cap - 2`` of them, and on a uniform tree most blocks past the first
+    few make no mark.
+    Past :data:`_MARK_CAP`, where those rounds grow with chain depth, one
+    gather, ``levels[end] + hops`` from :func:`_chain_ends`, writes the
+    block, capped in a wider type so no level wraps in a narrow ``levels``.
     """
+    top = cap - 1
     for start, parent in blocks:
         stop = start + parent.size
-        if cap > 2:
-            end, hops = _chain_ends(parent.copy(), start)
-            levels[start:stop] = np.minimum(levels[end] + hops, cap)
+        if cap > _MARK_CAP:
+            end, up = _chain_ends(parent.copy(), start)
+            up += levels[end]  # the block's levels, past cap where a capped end is
+            levels[start:stop] = np.minimum(up, cap)
+            up -= 1
         else:
-            levels[start:stop] = np.where(parent == 0, 1, cap)
-        yield start, parent
+            block = levels[start:stop]
+            block.fill(cap)
+            block[parent == 0] = 1
+            up = levels[parent]
+            first = 0
+            while top > 1 and first < parent.size:
+                low = np.flatnonzero(up[first:] < top) + first
+                marks = low[block[low] == cap]
+                if not marks.size:
+                    break
+                block[marks] = up[marks] + 1
+                first = int(marks[0]) + 1
+                up[first:] = levels[parent[first:]]
+        yield start, parent, up
 
 
 def _levels_from_parents(parent: np.ndarray) -> np.ndarray:
@@ -410,9 +470,7 @@ def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     anything is allocated.
     """
     model = GrowthModel.parse(model)
-    n = int(n)
-    if n < model.min_nodes:
-        raise ValueError(f"{model.name} growth needs n >= {model.min_nodes}, got {n}")
+    n = model.node_count(n)
     _guard_memory(n, GROWTH_BYTES_PER_NODE)
     seed = check_seed(seed)
     sample = _uniform_parents if model is GrowthModel.UNIFORM else _preferential_parents

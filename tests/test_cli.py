@@ -638,37 +638,43 @@ def test_level_one_statistics_never_derive_levels(capsys, monkeypatch):
     """Level 1 is read off the parents; degree laws and fixed points need no levels.
 
     The four level kernels stream capped levels, so none of them derives a
-    tree's levels at any k; past k = 1 (a cap above 2) the level pass walks
-    chains in blocks.
+    tree's levels at any k.  Up to a cap of ``_MARK_CAP`` the level pass
+    marks the low levels and walks no chains; past it, it walks them in
+    blocks.  Preferential growth walks its copy links at every k.
     """
     def refuse(parent):
         raise AssertionError("levels were derived")
 
     walks = []
-    level_pass = tree_module._level_pass
+    chain_ends = tree_module._chain_ends
 
-    def watch(blocks, levels, cap):
-        if cap > 2:
-            walks.append(cap)
-        return level_pass(blocks, levels, cap)
+    def watch(link, start):
+        walks.append(start)
+        return chain_ends(link, start)
 
     monkeypatch.setattr(tree_module, "_levels_from_parents", refuse)
-    for module in (tree_module, stats):
-        monkeypatch.setattr(module, "_level_pass", watch)
-    for argv, walked in ((("experiment", "first_level_degrees", "--n", "500"), False),
-                         (("experiment", "level_exceedance", "--n", "500", "--k", "1",
-                           "--t", "0.3,0.6"), False),
-                         (("experiment", "degree_distribution", "--n", "500"), False),
-                         (("experiment", "degree_distribution", "--n", "500",
-                           "--model", "preferential"), False),
-                         (("experiment", "max_degree", "--n", "1,500"), False),
-                         (("experiment", "level_exceedance", "--n", "500", "--k", "2"), True),
-                         (("experiment", "level_sizes", "--n", "500", "--k", "0,1,2"), True),
-                         (("experiment", "higher_level_small_degree", "--n", "500",
-                           "--k", "2,3"), True)):
+    monkeypatch.setattr(tree_module, "_chain_ends", watch)
+    # a profile of level k caps levels at k + 1; level sizes up to k cap them at k
+    marked, walked = str(tree_module._MARK_CAP - 1), str(tree_module._MARK_CAP)
+    sized, sized_past = str(tree_module._MARK_CAP), str(tree_module._MARK_CAP + 1)
+    for argv, walk in ((("experiment", "first_level_degrees", "--n", "500"), False),
+                       (("experiment", "level_exceedance", "--n", "500", "--k", "1",
+                         "--t", "0.3,0.6"), False),
+                       (("experiment", "degree_distribution", "--n", "500"), False),
+                       (("experiment", "degree_distribution", "--n", "500",
+                         "--model", "preferential"), True),
+                       (("experiment", "max_degree", "--n", "1,500"), False),
+                       (("experiment", "level_exceedance", "--n", "500", "--k", f"2,{marked}"), False),
+                       (("experiment", "level_exceedance", "--n", "500", "--k", f"2,{walked}"), True),
+                       (("experiment", "level_sizes", "--n", "500", "--k", f"0,1,{sized}"), False),
+                       (("experiment", "level_sizes", "--n", "500", "--k", f"0,{sized_past}"), True),
+                       (("experiment", "higher_level_small_degree", "--n", "500",
+                         "--k", f"2,{marked}"), False),
+                       (("experiment", "higher_level_small_degree", "--n", "500",
+                         "--k", f"2,{walked}"), True)):
         walks.clear()
         code, _, err = run_cli(capsys, *argv, "--reps", "4", "--seed", "1", "--workers", "1")
         assert code == 0 and "error" not in err, argv
-        assert bool(walks) == walked, argv
+        assert bool(walks) == walk, argv
     code, out, err = run_cli(capsys, "enumerate", "--n", "6", "--statistic", "fixed_points")
     assert code == 0 and json.loads(out)["expectation"] == "1/1"

@@ -339,6 +339,8 @@ def test_streamed_kernels_match_grown_trees_across_block_edges(n):
 @pytest.mark.parametrize("kernel, cfg", [
     ("_kernel_first_level_degrees", dict(d_max=6)),
     ("_kernel_level_exceedance", dict(k_grid=(2,), t_grid=(0.5,))),
+    ("_kernel_level_sizes", dict(k_grid=(0, 1, 9))),
+    ("_kernel_higher_level", dict(k_grid=(2, 3), d_max=6)),
 ])
 def test_streamed_kernels_hold_no_length_n_int64_array(kernel, cfg):
     """Growing the tree peaked at 22.9 MiB at 10^6 nodes; the streamed kernels

@@ -86,11 +86,34 @@ def test_degree_counts_in_level_empty_level():
     assert p.counts == {} and p.level_size == 0
 
 
-def test_negative_levels_are_refused_streamed_or_not():
+def _refuse_draws(monkeypatch):
+    def refuse(n, rng):
+        raise AssertionError("drew before refusing")
+    monkeypatch.setattr(stats, "_uniform_blocks", refuse)
+
+
+def test_negative_levels_are_refused_streamed_or_not(monkeypatch):
     with pytest.raises(ValueError, match="level k must be >= 0, got -1"):
         degree_counts_in_level(grow_from_sequence([0, 0]), -1)
+    _refuse_draws(monkeypatch)
     with pytest.raises(ValueError, match="level k must be >= 0, got -1"):
         stats.streamed_level_profiles(100, 1, (1, -1))
+    for top in (-1, -5):
+        with pytest.raises(ValueError, match=f"level k must be >= 0, got {top}$"):
+            stats.streamed_level_sizes(100, 1, top)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_streamed_statistics_refuse_a_tree_without_nodes(monkeypatch, n):
+    """n = 0 used to read as a lone root: ``streamed_level_sizes(0, 1, 1)`` was [1, 0]."""
+    _refuse_draws(monkeypatch)
+    message = f"UNIFORM growth needs n >= 1, got {n}"
+    with pytest.raises(ValueError, match=message):
+        stats.streamed_level_sizes(n, 1, 1)
+    with pytest.raises(ValueError, match=message):
+        stats.streamed_level_profiles(n, 1, (1,))
+    with pytest.raises(ValueError, match=message):
+        grow("uniform", n, 1)
 
 
 def test_profile_json_shape():
@@ -174,3 +197,42 @@ def test_streamed_levels_past_one_byte_never_wrap(monkeypatch):
         profiles = stats.streamed_level_profiles(n, 0, ks)
         assert profiles == {k: degree_counts_in_level(tree, k) for k in ks}
         assert list(stats.streamed_level_sizes(n, 0, max(ks))) == [1] * (max(ks) + 1)
+
+
+def _assert_streamed_statistics_match(n, seed, tree):
+    """Every cap from 1 to 13 takes one side of ``_MARK_CAP`` or the other."""
+    sizes = level_sizes(tree)
+    for top in range(13):
+        want = {k: degree_counts_in_level(tree, k) for k in range(top + 1)}
+        assert stats.streamed_level_profiles(n, seed, (top,)) == {top: want[top]}, top
+        assert stats.streamed_level_profiles(n, seed, range(top + 1)) == want, top
+        expected = [int(sizes[k]) if k < sizes.size else 0 for k in range(top + 1)]
+        assert list(stats.streamed_level_sizes(n, seed, top)) == expected, top
+
+
+@pytest.mark.parametrize("n", [2, 3, _LEVEL_BLOCK - 1, _LEVEL_BLOCK + 1, 3 * _LEVEL_BLOCK + 7, 10**5])
+def test_streamed_statistics_match_the_grown_tree_at_every_cap(n):
+    for seed in (0, 5, 2**63, 2**64 - 1):
+        _assert_streamed_statistics_match(n, seed, grow("uniform", n, seed))
+
+
+def _hung_off_chains(n):
+    """The first block is three interleaved chains; past it, every fifth node
+    hangs off one of nodes 0..59 and the next four each hang off the node
+    before them."""
+    parent = np.arange(-3, n - 3)
+    parent[1:4] = 0
+    later = np.arange(_LEVEL_BLOCK + 1, n)
+    parent[later] = np.where(later % 5 == 0, later * 7919 % 60, later - 1)
+    return parent
+
+
+@pytest.mark.parametrize("shape", ["star", "hung_off_chains"])
+def test_streamed_statistics_match_fixed_shapes_at_every_cap(monkeypatch, shape):
+    """Marks in one block can hang off each other, which the draws rarely make."""
+    n = 3 * _LEVEL_BLOCK + 7
+    parent = np.zeros(n, dtype=np.int64) if shape == "star" else _hung_off_chains(n)
+    parent[0] = -1
+    monkeypatch.setattr(stats, "_uniform_blocks", lambda n, rng: (
+        (start, parent[start:start + _LEVEL_BLOCK].copy()) for start in range(1, n, _LEVEL_BLOCK)))
+    _assert_streamed_statistics_match(n, 0, grow_from_sequence(parent[1:]))
