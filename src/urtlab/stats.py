@@ -130,7 +130,8 @@ def _streamed_levels(n: int, seed: int, cap: int) -> Iterator[tuple[int, np.ndar
     """``(start, parent, up)`` per block of uniform growth from ``seed``, from
     :func:`urtlab.tree._level_pass` with levels capped at ``cap``: the
     block's parents, and their levels where those are below ``cap``, and
-    ``cap`` or more otherwise.
+    ``cap`` or more otherwise.  Each block is valid until the next one is
+    drawn.
 
     Levels live in the smallest unsigned dtype that holds ``cap``.  Growth
     past physical memory at :data:`STREAM_BYTES_PER_NODE` per byte of level

@@ -24,7 +24,9 @@ Both models draw their picks one block of nodes at a time; uniform
 blocks come from :func:`_uniform_blocks`.  The picks are numpy's own
 bounded draws, ``rng.integers(0, bounds)``: :class:`_Words` makes them by
 Lemire's method, as numpy does, from the bit generator's raw 32-bit words,
-in bulk rather than one element at a time.  Equality tests pin every draw,
+in bulk rather than one element at a time, as views of one ``random_raw``
+array per block; bounds and draws go to buffers reused from block to block,
+so a block of draws is valid until the next is drawn.  Equality tests pin every draw,
 and the generator's state after growth, to the installed numpy.  A call
 whose largest bound reaches :data:`_VECTOR_TOP` goes through
 ``rng.integers`` itself, whole.
@@ -95,17 +97,23 @@ _MARK_CAP = 6
 
 # _Words: each rejected word costs one more vector pass, and consecutive
 # bounds near T reject about T / 2^33 of their words.  One block of 16,384
-# bounds up to T, vector pass against numpy, medians of 80 alternating draws
-# in two runs on 2 vCPU: 135-237 us against 188-328 at T = 10^6, 185-310
-# against 189-339 at 2 x 10^6, 187-317 against 189-333 at 2.5 x 10^6,
-# 218-241 against 186 at 3 x 10^6, 375-690 against 179-353 at 8 x 10^6 and
-# 5,234-6,661 against 340-367 at 10^8.  So a call whose largest bound
-# reaches _VECTOR_TOP (at most 2^32) is numpy's
-_VECTOR_TOP = 2_500_000
-# words in one vector pass: at least after a rejection, and at most; at the
-# most every temporary stays below 64 KiB, and glibc trims the heap only when
-# a larger chunk is freed, so blocks do not fault its pages back in
-_WINDOW_MIN, _WINDOW_MAX = 256, 1 << 13
+# bounds up to T, vector pass against numpy, medians of 80-120 alternating
+# draws per run on a shared 2-vCPU host, in us, and the runs the pass won:
+# 113-240 against 206-435 (3 of 3) at T = 10^6, 164-291 against 202-395
+# (6 of 6) at 2.5 x 10^6, 186-303 against 202-401 (5 of 6) at 3 x 10^6,
+# 206-305 against 207-362 (2 of 4) at 3.5 x 10^6, 216-404 against 212-387
+# (0 of 6) at 4 x 10^6, 336-467 against 204-327 (0 of 3) at 8 x 10^6 and
+# 3,371-4,108 against 221-271 (0 of 3) at 10^8.  So a call whose largest
+# bound reaches _VECTOR_TOP (at most 2^32) is numpy's
+_VECTOR_TOP = 3_000_000
+# words in one vector pass: at least after a rejection, and at most.  Against
+# (256, 2^13), all the draws of a uniform growth of 10^5 / 10^6 / 2.9 x 10^6 nodes
+# took 0.95-0.96 / 0.99-1.00 / 1.03-1.04 times the CPU time at (256, 2^14),
+# 1.10 / 1.08 / - at (256, 2^12), and 0.99-1.01 with a least of 128 or 1024
+# (medians of 40-60 alternating rounds, three runs on 2 vCPU); the level-1
+# profile took 0.96-0.97 times at 10^5 and 1.00 at 10^6.  A window's low
+# halves then take at most 64 KiB, below glibc's mmap threshold
+_WINDOW_MIN, _WINDOW_MAX = 256, 1 << 14
 
 _MAGIC = b"URT1"
 _HEADER = struct.Struct("<4sQBQ")  # magic, node count, model tag, seed
@@ -222,7 +230,8 @@ def _level_pass(blocks: Iterable[tuple[int, np.ndarray]], levels: np.ndarray,
     """Write each ``(start, parent)`` block's levels into ``levels``, capped
     at ``cap`` (which stands for every level from ``cap`` on), then yield
     ``(start, parent, up)``: ``up`` holds each node's parent level where
-    that is below ``cap``, and a value of at least ``cap`` otherwise.
+    that is below ``cap``, and a value of at least ``cap`` otherwise.  The
+    pass is done with a block before it asks for the next, which may reuse it.
 
     Up to :data:`_MARK_CAP` the block is filled with ``cap`` and only its
     nodes at levels ``1..cap-1``, the marks, are written.  Level 1 is
@@ -291,10 +300,14 @@ class _Words:
     bound of 1 takes no word.  Words come low half first from each raw
     64-bit word, and an unused high half waits in the state as
     ``has_uint32`` and ``uinteger``.  An array of bounds is drawn element by
-    element, so :meth:`integers` takes the words of a whole array from
-    ``random_raw`` and tests them all at once.  At the first rejected word
-    the words after it go back to the queue, that element takes words one
-    at a time until one is kept, and the vector pass resumes after it.
+    element, so :meth:`draw` reads the words of a whole array as views of
+    one ``random_raw`` array and tests them all at once, a window at a time,
+    writing the draws into the caller's buffer.  It never takes more raw
+    words than the bounds left must read, so at most the last high half is
+    left over.  At the first rejected word the cursor moves back to the word
+    after it, and the next window starts at the rejected element.
+    :meth:`integers` is the same draw for any bounds of at least 1, into a
+    new array.
 
     Each call takes one path, chosen by its largest bound alone: below
     :data:`_VECTOR_TOP` the vector pass draws all of it; from there on, where
@@ -313,95 +326,79 @@ class _Words:
     def __enter__(self) -> "_Words":
         state = self._bits.state
         self._last = state["uinteger"]  # the last high half made; numpy keeps it once used
-        # the queue is _words[_head:_size]; refills reuse the array, as fresh ones
-        # made glibc trim and refault the heap in pool workers
-        self._words = np.array([self._last], dtype=np.uint32)
-        self._head, self._size = 0, state["has_uint32"]
+        # the words not yet read are _words[_head:]; a pending half word is the only one
+        self._words = np.array([self._last], dtype=np.uint32)[:state["has_uint32"]]
+        self._head = 0
         return self
 
     def __exit__(self, *exc) -> None:
         state = self._bits.state
-        state["has_uint32"] = int(self._head < self._size)  # then that word is self._last
+        state["has_uint32"] = int(self._head < self._words.size)  # then that word is self._last
         state["uinteger"] = self._last
         self._bits.state = state
 
     def integers(self, highs: np.ndarray) -> np.ndarray:
         """``rng.integers(0, highs, dtype=np.int64)`` for int64 bounds ``highs >= 1``,
         value for value and word for word."""
-        if not highs.size:
-            return np.zeros(0, dtype=np.int64)
-        top = int(highs.max())
-        if top >= _VECTOR_TOP:
-            self.__exit__()
-            out = self._rng.integers(0, highs, dtype=np.int64)
-            self.__enter__()
-            return out
-        out = np.empty(highs.size, dtype=np.int64)
-        ones = np.flatnonzero(highs == 1) if highs.min() == 1 else np.zeros(0, dtype=np.int64)
-        out[ones] = 0  # these take no word
-        for lo, hi in zip([0, *(ones + 1)], [*ones, highs.size]):
-            if lo < hi:
-                self._lemire(highs[lo:hi].view(np.uint64), top, out[lo:hi].view(np.uint64))
+        out = np.zeros(highs.size, dtype=np.int64)  # a bound of 1 draws 0 and takes no word
+        if highs.size:
+            drawn = np.flatnonzero(highs > 1)  # each element draws alone, so the rest close up
+            out[drawn] = self.draw(highs[drawn], int(highs.max()), np.empty(drawn.size, np.int64))
         return out
 
-    def _take(self, k: int) -> np.ndarray:
-        """A view of the next ``k`` words, valid until the next call; the
-        queue goes on right after them."""
-        head, size = self._head, self._size
-        if head + k > size:
-            raw = self._bits.random_raw((head + k - size + 1) >> 1)
-            self._last = int(raw[-1] >> 32)
-            kept = size - head
-            if kept + 2 * raw.size > self._words.size:
-                self._words = np.concatenate((self._words[head:size], np.empty(2 * raw.size, np.uint32)))
-            else:
-                self._words[:kept] = self._words[head:size].copy()
-            # low half first, as numpy takes them, on either byte order
-            self._words[kept:kept + 2 * raw.size] = raw.astype("<u8", copy=False).view("<u4")
-            head, self._size = 0, kept + 2 * raw.size
-        self._head = head + k
-        return self._words[head:head + k]
-
-    def _lemire(self, highs: np.ndarray, top: int, out: np.ndarray) -> None:
-        """Draws into ``out`` for uint64 bounds in ``[2, top]``, ``top < 2^32``."""
+    def draw(self, highs: np.ndarray, top: int, out: np.ndarray) -> np.ndarray:
+        """Draw for int64 bounds ``highs`` in ``[2, top]`` into the int64 array
+        ``out``, and return it."""
+        if top >= _VECTOR_TOP:
+            self.__exit__()
+            out[:] = self._rng.integers(0, highs, dtype=np.int64)
+            self.__enter__()
+            return out
+        highs, draws = highs.view(np.uint64), out.view(np.uint64)  # products need 64 bits
         pos, window = 0, _WINDOW_MAX
         while pos < highs.size:
-            stop = min(pos + window, highs.size)
+            if self._head == self._words.size:  # take only words the bounds left must read
+                raw = self._bits.random_raw((highs.size - pos + 1) >> 1)
+                self._last = int(raw[-1] >> 32)
+                # low half first, as numpy takes them, on either byte order
+                self._words, self._head = raw.astype("<u8", copy=False).view("<u4"), 0
+            head = self._head
+            stop = min(pos + window, highs.size, pos + self._words.size - head)
             h = highs[pos:stop]
-            product = np.multiply(self._take(h.size), h, out=out[pos:stop])
+            product = np.multiply(self._words[head:head + h.size], h, out=draws[pos:stop])
             low = product.astype(np.uint32)
-            np.right_shift(product, 32, out=product)
-            near = np.flatnonzero(low < top)  # only these can fall below 2^32 mod h < h
-            rejects = near[low[near] < (1 << 32) % h[near]]
-            if not rejects.size:
+            # a word is rejected when its low half is below 2^32 mod h < h <= top
+            near = np.flatnonzero(low < top) if low.min() < top else []
+            j = next((int(j) for j in near if low[j] < (1 << 32) % int(h[j])), -1)
+            if j < 0:
+                self._head = head + h.size
                 pos, window = stop, min(2 * window, _WINDOW_MAX)
-                continue
-            j = int(rejects[0])
-            self._head -= stop - pos - j - 1  # the words after the rejected one go back
-            out[pos + j] = self._redraw(int(h[j]))
-            pos, window = pos + j + 1, min(max(_WINDOW_MIN, 2 * (j + 1)), _WINDOW_MAX)
-
-    def _redraw(self, high: int) -> int:
-        """One bound's draw, taking words one at a time until one is kept."""
-        threshold = (1 << 32) % high
-        while True:
-            product = int(self._take(1)[0]) * high
-            if product & 0xFFFFFFFF >= threshold:
-                return product >> 32
+            else:  # that element draws again from the next word, and the words after it follow
+                self._head = head + j + 1
+                pos, window = pos + j, min(max(_WINDOW_MIN, 2 * (j + 1)), _WINDOW_MAX)
+        np.right_shift(draws, 32, out=draws)  # each draw is the high half of its product
+        return out
 
 
 def _uniform_blocks(n: int, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """``(start, parent[start:stop])`` of uniform growth, one block of
-    :data:`_LEVEL_BLOCK` nodes at a time.
+    :data:`_LEVEL_BLOCK` nodes at a time.  Each block is valid until the
+    next one is drawn: the draws of every block go into one buffer.
 
     Node ``i`` draws ``rng.integers(0, i)``.  :class:`_Words` makes those
     draws from raw words, so the blocks concatenate to numpy's own
     ``rng.integers(0, np.arange(1, n))`` and leave ``rng`` in the same
     state; the tests pin that equality to the installed numpy.
     """
+    highs = np.arange(1, _LEVEL_BLOCK + 1)  # the block's bounds, start..stop-1
+    out = np.zeros(_LEVEL_BLOCK, dtype=np.int64)
     with _Words(rng) as words:
         for start in range(1, n, _LEVEL_BLOCK):
-            yield start, words.integers(np.arange(start, min(start + _LEVEL_BLOCK, n)))
+            size = min(_LEVEL_BLOCK, n - start)
+            first = int(start == 1)  # node 1's bound of 1 takes no word and draws 0
+            words.draw(highs[first:size], start + size - 1, out[first:size])
+            yield start, out[:size]
+            highs += _LEVEL_BLOCK
 
 
 def _uniform_parents(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -436,10 +433,12 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
     parent[1] = 0
+    highs = 2 * np.arange(1, _LEVEL_BLOCK + 1)  # the block's bounds, 2(start-1)..2(stop-2)
+    picks = np.empty(_LEVEL_BLOCK, dtype=np.int64)
     with _Words(rng) as words:
         for start in range(2, n, _LEVEL_BLOCK):
             stop = min(start + _LEVEL_BLOCK, n)
-            link = words.integers(2 * np.arange(start - 1, stop - 1))  # d_i
+            link = words.draw(highs[:stop - start], 2 * (stop - 2), picks[:stop - start])  # d_i
             odd = link & 1
             link >>= 1
             link += 1  # v, the node whose edge holds entry d_i
@@ -449,6 +448,7 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
             block = parent[start:stop]
             np.invert(end, out=block)  # a named end is ~parent; copies are overwritten next
             block[copies] = parent[end[copies]]  # a copied end is below start, so final
+            highs += 2 * _LEVEL_BLOCK
     return parent
 
 

@@ -1,9 +1,12 @@
 import time
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from urtlab import (
@@ -16,6 +19,7 @@ from urtlab import (
     save_tree,
     validate,
 )
+from urtlab import stats
 from urtlab import tree as tree_module
 from urtlab.rng import derive_seed, generator
 from urtlab.tree import (
@@ -312,6 +316,61 @@ def test_vector_pass_draws_numpys_bounded_integers(calls, pending, monkeypatch):
     so its rejections and redraws are pinned too."""
     monkeypatch.setattr(tree_module, "_VECTOR_TOP", 1 << 32)
     _check_words(calls, pending)
+
+
+# (lowest, highest) bound of each kind of run; bounds just past 2^31 reject
+# about half their words, often several in a row
+BOUND_RUNS = {
+    "ones": (1, 1),
+    "small": (2, 100),
+    "past_2^31": (2**31 + 1, 2**31 + 64),
+    "around_vector_top": (_VECTOR_TOP - 64, _VECTOR_TOP + 64),
+}
+
+
+@st.composite
+def bounded_draw_calls(draw):
+    """Random runs of bounds of each kind, cut into random calls."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(sorted(BOUND_RUNS)), st.integers(1, 700)),
+                         min_size=1, max_size=6))
+    values = np.random.default_rng(draw(st.integers(0, 2**32)))
+    highs = np.concatenate([values.integers(*BOUND_RUNS[kind], size=size, endpoint=True)
+                            for kind, size in runs])
+    cuts = draw(st.lists(st.integers(0, highs.size), max_size=4))
+    return np.split(highs, sorted(cuts))
+
+
+@pytest.mark.parametrize("vector_top", [_VECTOR_TOP, 1 << 32])
+@given(calls=bounded_draw_calls(), pending=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_words_draw_numpys_bounded_integers_on_random_calls(vector_top, calls, pending):
+    """At the cutoff 2^32 the vector pass draws every call, rejections included."""
+    with mock.patch.object(tree_module, "_VECTOR_TOP", vector_top):
+        _check_words(calls, pending)
+
+
+def test_blocks_are_read_before_the_next_is_drawn(monkeypatch):
+    """Every consumer of a block of draws is done with it when the next is
+    drawn: poisoning each block with -1 at that point changes no result."""
+    n, seed = 3 * B + 7, 11
+
+    def results():
+        return (_uniform_parents(n, generator(seed)).tolist(),
+                [stats.streamed_level_profiles(n, seed, ks) for ks in ((1,), (1, 2, 7))],
+                [stats.streamed_level_sizes(n, seed, top).tolist() for top in (3, 8)],
+                grow("preferential", n, seed).parent.tolist())
+
+    draw = _Words.draw
+
+    def poisoning(words, highs, top, out):
+        if hasattr(words, "drawn"):
+            words.drawn.fill(-1)
+        words.drawn = out
+        return draw(words, highs, top, out)
+
+    expected = results()
+    monkeypatch.setattr(_Words, "draw", poisoning)
+    assert results() == expected
 
 
 @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7, 10**6])
