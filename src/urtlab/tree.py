@@ -390,8 +390,8 @@ def _uniform_blocks(n: int, rng: np.random.Generator) -> Iterator[tuple[int, np.
     ``rng.integers(0, np.arange(1, n))`` and leave ``rng`` in the same
     state; the tests pin that equality to the installed numpy.
     """
-    highs = np.arange(1, _LEVEL_BLOCK + 1)  # the block's bounds, start..stop-1
-    out = np.zeros(_LEVEL_BLOCK, dtype=np.int64)
+    highs = np.arange(1, min(_LEVEL_BLOCK, n - 1) + 1)  # the block's bounds, start..stop-1
+    out = np.zeros(highs.size, dtype=np.int64)
     with _Words(rng) as words:
         for start in range(1, n, _LEVEL_BLOCK):
             size = min(_LEVEL_BLOCK, n - start)
@@ -433,8 +433,8 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
     parent[1] = 0
-    highs = 2 * np.arange(1, _LEVEL_BLOCK + 1)  # the block's bounds, 2(start-1)..2(stop-2)
-    picks = np.empty(_LEVEL_BLOCK, dtype=np.int64)
+    highs = 2 * np.arange(1, min(_LEVEL_BLOCK, n - 2) + 1)  # bounds 2(start-1)..2(stop-2)
+    picks = np.empty(highs.size, dtype=np.int64)
     with _Words(rng) as words:
         for start in range(2, n, _LEVEL_BLOCK):
             stop = min(start + _LEVEL_BLOCK, n)
