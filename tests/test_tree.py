@@ -252,8 +252,10 @@ def _shape(name, n):
     return parent
 
 
+# 2_500_007: every call stays in the vector pass with bounds past 2.5 x 10^6;
+# _VECTOR_TOP + 7: the last calls switch to numpy's own draws
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1000, B - 1, B, B + 1, 3 * B + 7, 100_000,
-                               _VECTOR_TOP + 7])
+                               2_500_007, _VECTOR_TOP + 7])
 def test_blocked_uniform_parents_are_the_whole_draw(n):
     """Blocks of draws concatenate to one draw and leave the generator where it
     would, also where later blocks switch to numpy's own draws."""
