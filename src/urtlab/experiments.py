@@ -222,6 +222,18 @@ def run_workers(config: ExperimentConfig) -> int:
     return resolve_workers(config.workers, config.replications)
 
 
+def _keep_freed_heap() -> None:
+    """Pool worker set-up: map and free 16 MiB, never touched.  glibc then
+    raises its mmap threshold to that size and its trim threshold to twice
+    it, so a replication's arrays come from the heap and stay there when
+    freed, not handed back and faulted in again by the next replication.
+    Without it the thresholds a worker inherits depend on what ran before
+    the fork: 600 first-level replications at n = 10^5 took 4k faults, or
+    33k-59k as the directory the same code ran from changed.  Elsewhere
+    than glibc this is one short-lived allocation."""
+    np.empty(16 << 20, dtype=np.uint8)
+
+
 def _replicate(call: Callable, seeds: list[int], pool, workers: int) -> np.ndarray:
     """Per-replication rows, always ordered by replication index."""
     if pool is None:
@@ -243,7 +255,7 @@ def _run(config: ExperimentConfig, kernel: Optional[Callable],
     # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
     seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
     rows = []
-    with get_context().Pool(workers) if workers > 1 else nullcontext() as pool:
+    with get_context().Pool(workers, _keep_freed_heap) if workers > 1 else nullcontext() as pool:
         for n in config.n_grid:
             table = None
             if kernel is not None:

@@ -18,7 +18,11 @@
   default up to ``n = 64``) comes from :func:`_truncated_total`, the one
   path over integer weights.  In floats, the child-count laws of any set of
   nodes come from one blocked pass, :func:`_degree_law_sums`, at any ``n`` in
-  O(block) memory plus O(1) per node, guarded by work alone.
+  O(block) memory plus O(1) per node, guarded by work alone.  One node's
+  terms ``e_m(1/i, .., 1/(n-1))`` do not depend on the threshold, so
+  :func:`degree_tail` and :func:`degree_head` keep them per ``(n, i)`` and
+  precision (:func:`_node_terms`): the first call pays one pass, later ones
+  a sum of held terms, with every value bit for bit that of a fresh pass.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .tree import RecursiveTree, grow_from_sequence
 
 ENUMERATION_MAX_NODES = 11  # 10! = 3.6M sequences
 RATIONAL_DP_MAX_NODES = 64  # exact rational DP guard
-DEGREE_TAIL_MAX_WORK = 10**8  # weights x coefficient rows in one pass of _degree_law_sums
+DEGREE_TAIL_MAX_WORK = 10**8  # weights x coefficient rows in one pass, and a node memo's rows
 _TAIL_BLOCK = 1 << 14  # weights per block of that pass
 _TOTAL_BLOCK = 4096  # weights per block of _truncated_total
 
@@ -287,25 +291,15 @@ def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):
     return _truncated_total(1, n, object if exact else float, k)[k]
 
 
-def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
-                     exact: Union[bool, None] = None, block: int = _TAIL_BLOCK) -> np.ndarray:
-    """``(i/n) sum e_m(1/i, .., 1/(n-1))`` over ``m > threshold`` if ``upper``,
-    else over ``m <= threshold``, for each ``i`` of the ascending ``indices``
-    (a list, an int array or a ``range`` in ``1..n``); the work, longest span x
-    rows, is guarded before any allocation.  ``exact=None`` means rationals for
-    ``n <= 64``: a head is one :func:`_truncated_total`, a tail its complement.
-    Floats are read at position ``n - i`` of the rows of one descending pass
-    over the weights, made and carried ``block`` at a time, in O(block) memory
-    plus O(1) per node: tails in double, heads in long double.
-    """
+def _law_rows(n: int, span: int, threshold: float, upper: bool, exact: bool):
+    """``(at_once, order, top)``: the answer for a threshold outside ``0..span-1``
+    (``order`` None if all get it), the head's last row, the tail's, guarded."""
     if math.isnan(threshold):
         raise ValueError(f"threshold must be a number, got {threshold}")
-    exact = n <= RATIONAL_DP_MAX_NODES if exact is None else exact
     head = Fraction(threshold >= 0) if exact else float(threshold >= 0)  # X is in 0..n-i
     at_once = 1 - head if upper else head
-    span = n - int(indices[0])  # the longest
     if threshold < 0 or threshold >= span:
-        return np.full(len(indices), at_once, dtype=type(at_once))
+        return at_once, None, None
     order = top = math.floor(threshold)
     if upper:  # the last term the tail needs: e_{m+1} <= s e_m / (m+1) for any
         # s >= e_1 (e_1 e_m counts each monomial of e_{m+1} m+1 times), so from
@@ -319,34 +313,88 @@ def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
     if span * (top + 1) > DEGREE_TAIL_MAX_WORK:  # before anything is allocated
         raise ResourceGuardError(f"degree tails are guarded to (n - i) x rows <= "
                                  f"{DEGREE_TAIL_MAX_WORK:.0e}, got {span} x {top + 1}")
+    return at_once, order, top
+
+
+def _descending_rows(n: int, span: int, rows: int, dtype, block: int) -> Iterator[tuple]:
+    """``(b0, b1, m, row)``, ``m = 0..rows``, over the weights ``1/(n-1)`` down to
+    ``1/(n-span)``, ``block`` at a time: entry ``p`` of a row of the block
+    ``1/(n-1-b0) .. 1/(n-b1)`` is ``e_m`` of the first ``b0 + p`` weights."""
+    carry = None
+    for b0 in range(0, span, block):
+        b1 = min(b0 + block, span)
+        w = 1.0 / np.arange(n - b1, n - b0, dtype=dtype)
+        start, carry = carry, []
+        for m, row in enumerate(_truncated_product(w[::-1], rows, start)):
+            carry.append(row[-1])
+            yield b0, b1, m, row
+
+
+@lru_cache(maxsize=128)
+def _node_memo(n: int, i: int, dtype) -> list:
+    return [()]  # one slot: the longest terms made so far
+
+
+def _node_terms(n: int, i: int, dtype, rows: int) -> np.ndarray:
+    """``e_0..e_R(1/i, .., 1/(n-1))``, ``R >= rows``, read-only, as rationals or
+    from a pass in blocks of ``_TAIL_BLOCK``; ``e_m`` is the same whatever ``R``.
+    More rows than held are made at least twice over, up to the span and to
+    ``DEGREE_TAIL_MAX_WORK // span`` terms: at most about 10^4 terms of 16 bytes
+    (span 10^4), so 160 KB an entry and 20 MB in all at worst."""
+    memo = _node_memo(n, i, dtype)
+    if len(memo[0]) <= rows:
+        span = n - i
+        rows = min(span, DEGREE_TAIL_MAX_WORK // span - 1, max(rows, 2 * len(memo[0])))
+        terms = (_truncated_total(i, n, object, rows) if dtype is object else
+                 [row[-1] for _, b1, _, row in _descending_rows(n, span, rows, dtype, _TAIL_BLOCK)
+                  if b1 == span])
+        memo[0] = np.array(terms, dtype=dtype)
+        memo[0].flags.writeable = False
+    return memo[0]
+
+
+def _exact_law(n: int, i: int, order: int, upper: bool) -> Fraction:
+    head = Fraction(i, n) * sum(_node_terms(n, i, object, order)[: order + 1])
+    return 1 - head if upper else head
+
+
+def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
+                     exact: Union[bool, None] = None, block: int = _TAIL_BLOCK) -> np.ndarray:
+    """``(i/n) sum e_m(1/i, .., 1/(n-1))`` over ``m > threshold`` if ``upper``,
+    else over ``m <= threshold``, for each ``i`` of the ascending ``indices``
+    (a list, an int array or a ``range`` in ``1..n``); the work, longest span x
+    rows, is guarded before any allocation.  ``exact=None`` means rationals for
+    ``n <= 64``: a head is a sum of the node's memoized :func:`_node_terms`, a
+    tail its complement.  Floats are read at position ``n - i`` of the rows of
+    one :func:`_descending_rows` pass, in O(block) memory plus O(1) per node:
+    tails in double, heads in long double.
+    """
+    exact = n <= RATIONAL_DP_MAX_NODES if exact is None else exact
+    span = n - int(indices[0])  # the longest
+    at_once, order, top = _law_rows(n, span, threshold, upper, exact)
+    if order is None:
+        return np.full(len(indices), at_once, dtype=type(at_once))
     idx = (np.arange(indices.start, indices.stop, indices.step)  # asarray walks a range
            if isinstance(indices, range) else np.asarray(indices))
     idx = idx[: np.searchsorted(idx, n - threshold)]  # those with threshold < n - i
-    if exact:  # each head is one rational total, each tail its exact complement
+    if exact:
         out = np.full(len(indices), at_once, dtype=object)
         for pos, i in enumerate(idx.tolist()):
-            head = Fraction(i, n) * sum(_truncated_total(i, n, object, order))
-            out[pos] = 1 - head if upper else head
+            out[pos] = _exact_law(n, i, order, upper)
         return out
     dtype = float if upper else np.longdouble
-    sums, carry = np.zeros(idx.size, dtype=dtype), None
-    for b0 in range(0, span, block):  # weights 1/(n-1-b0) down to 1/(n-b1)
-        b1 = min(b0 + block, span)
-        w = 1.0 / np.arange(n - b1, n - b0, dtype=dtype)
-        here = slice(*np.searchsorted(idx, (n - b1, n - b0)))  # positions b0+1..b1
-        at = n - b0 - idx[here]
-        if at.size and at[0] - at[-1] == at.size - 1:  # a run of positions: read a view
-            at = slice(at[0], at[-1] - 1, -1)
-        rows = _truncated_product(w[::-1], top if upper else order, carry)
-        carry, part = [], sums[here]
-        for m, row in enumerate(rows):
-            carry.append(row[-1])
-            if (m > order) == upper:  # rows past order make the tail, the rest the head
-                grown = part + row[at]
-                if b1 == span and upper and not np.count_nonzero(grown != part):
-                    break  # log-concave: the rest of the tail is below rounding
-                part = grown
-        sums[here] = part
+    sums = np.zeros(idx.size, dtype=dtype)
+    for b0, b1, m, row in _descending_rows(n, span, top if upper else order, dtype, block):
+        if m == 0:  # a new block of weights 1/(n-1-b0) down to 1/(n-b1)
+            here = slice(*np.searchsorted(idx, (n - b1, n - b0)))  # positions b0+1..b1
+            at = n - b0 - idx[here]
+            if at.size and at[0] - at[-1] == at.size - 1:  # a run of positions: read a view
+                at = slice(at[0], at[-1] - 1, -1)
+        if (m > order) == upper:  # rows past order make the tail, the rest the head
+            grown = sums[here] + row[at]
+            if b1 == span and upper and not np.count_nonzero(grown != sums[here]):
+                break  # log-concave: the rest of the tail is below rounding
+            sums[here] = grown
     sums = sums * idx / n
     out = np.full(len(indices), at_once, dtype=type(at_once))  # last: 3 length-n arrays at most
     out[: idx.size] = sums
@@ -354,9 +402,26 @@ def _degree_law_sums(n: int, indices, threshold: float, upper: bool,
 
 
 def _degree_law(i: int, n: int, threshold: float, upper: bool):
+    """One node's law, folded from its memoized :func:`_node_terms` in the order
+    and with the stop of :func:`_degree_law_sums`, so bit for bit its value."""
     if not 1 <= int(i) <= int(n):  # at i = n, X = 0: the zero span is answered at once
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return _degree_law_sums(int(n), [int(i)], threshold, upper).tolist()[0]
+    i, n = int(i), int(n)
+    exact = n <= RATIONAL_DP_MAX_NODES
+    at_once, order, top = _law_rows(n, n - i, threshold, upper, exact)
+    if order is None:
+        return at_once
+    if exact:
+        return _exact_law(n, i, order, upper)
+    dtype = float if upper else np.longdouble
+    terms = _node_terms(n, i, dtype, top if upper else order)
+    part = dtype(0)
+    for m in range(order + 1, top + 1) if upper else range(order + 1):
+        grown = part + terms[m]
+        if upper and grown == part:
+            break
+        part = grown
+    return float(part * i / n)
 
 
 def degree_head(i: int, n: int, threshold: float):
@@ -364,11 +429,11 @@ def degree_head(i: int, n: int, threshold: float):
 
     ``(i/n) sum_{m <= threshold} e_m(1/i, .., 1/(n-1))``: a sum of positive
     coefficients, so a small head keeps its relative accuracy, where
-    ``1 - degree_tail`` would cancel.  Rational for ``n <= 64``, from one
-    :func:`_truncated_total`; float beyond, at any span, in the pass and guard
-    of :func:`degree_tail`, run in long double (64-bit mantissa on x86-64): at
-    ``n - i = 10^6`` it stays within half a unit in the last place of 50-digit
-    mpmath values.
+    ``1 - degree_tail`` would cancel.  Rational for ``n <= 64``, from
+    :func:`_truncated_total`; float beyond, at any span, in the pass, guard
+    and memo of :func:`degree_tail`, run in long double (64-bit mantissa on
+    x86-64): at ``n - i = 10^6`` it stays within half a unit in the last
+    place of 50-digit mpmath values.
     """
     return _degree_law(i, n, threshold, upper=False)
 
@@ -383,12 +448,17 @@ def degree_tail(i: int, n: int, threshold: float):
 
     ``P(X = m) = (i/n) e_m(1/i, .., 1/(n-1))``; for ``n <= 64`` the exact
     complement of :func:`degree_head`, in double precision beyond (any span,
-    one pass of :func:`_degree_law_sums`), within 7e-15 relative of 50-digit
+    one pass of :func:`_descending_rows`), within 7e-15 relative of 50-digit
     mpmath values at ``n - i = 10^6``.  A threshold below 0 or at least ``n - i``
     gives the exact 1 or 0 at once; otherwise the work, ``n - i`` times the
     rows read (``threshold + 1`` for the head, about ``threshold + 40`` for
     the tail), is guarded to :data:`DEGREE_TAIL_MAX_WORK`: 0.5 s at 5 ns per
     weight and row (2 s in the head's long double) on a 2-vCPU x86-64 host.
+
+    The first call per ``(n, i)`` and precision pays that pass and keeps its
+    terms (:func:`_node_terms`): a later call costs O(rows) if they suffice,
+    else a pass of twice the rows, so a sweep costs O(log(n - i)) passes.
+    Every value is bit for bit that of a fresh pass.
     """
     return _degree_law(i, n, threshold, upper=True)
 

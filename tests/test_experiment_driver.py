@@ -112,7 +112,8 @@ def test_tail_vs_bound_makes_one_engine_call_per_case(monkeypatch):
 
 
 def test_a_run_opens_at_most_one_pool(monkeypatch):
-    """Two workers over a multi-n grid share one pool; tail_vs_bound opens none."""
+    """Two workers over a multi-n grid share one pool, whose workers keep
+    their freed heap; tail_vs_bound opens none."""
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     created = []
     init = multiprocessing.pool.Pool.__init__
@@ -124,6 +125,7 @@ def test_a_run_opens_at_most_one_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
     run_experiment(ExperimentConfig(**MATRIX["level_exceedance"], workers=2))
     assert len(created) == 1
+    assert created[0][1] is experiments._keep_freed_heap  # each worker's set-up
     rep = run_experiment(ExperimentConfig(**MATRIX["tail_vs_bound"], workers=2))
     assert {row.get("mode") for row in rep.rows} == {"exact", None}
     assert len(created) == 1

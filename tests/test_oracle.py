@@ -490,6 +490,85 @@ def test_exact_answers_are_pinned_to_their_fractions():
     assert digests == EXACT_DIGESTS
 
 
+def test_memoized_node_laws_do_not_depend_on_the_order_of_thresholds():
+    """Heads and tails from a node's memoized terms equal, bit for bit, a call
+    made with the memo cleared (floats) or the sum of exact terms
+    (rationals), whatever thresholds came before: spans inside one block of
+    weights, across blocks, and rational."""
+    def fresh(law, i, n, a):
+        oracle._node_memo.cache_clear()
+        return law(i, n, a)
+
+    def rational(law, i, n, a):
+        if a < 0 or a >= n - i:
+            return Fraction(int(a >= 0) if law is degree_head else int(a < 0))
+        order = math.floor(a)
+        head = Fraction(i, n) * sum(oracle._truncated_total(i, n, object, order))
+        return head if law is degree_head else 1 - head
+
+    shuffled = np.random.default_rng(11)
+    for i, n in ((7, 2000), (1, 10001), (1, 20001), (5, 40000), (3, 50), (20, 64), (1, 64)):
+        thresholds = sorted({-0.5, 0, 1, 2.5, 4.6, 9, 17.3, 31, 45.5, min(n - i - 1, 99), n - i})
+        reference = fresh if n > oracle.RATIONAL_DP_MAX_NODES else rational
+        expected = {(law, a): reference(law, i, n, a)
+                    for law in (degree_head, degree_tail) for a in thresholds}
+        for order in (thresholds, thresholds[::-1], shuffled.permutation(thresholds).tolist()):
+            oracle._node_memo.cache_clear()
+            for a in order:
+                for law in (degree_head, degree_tail):
+                    got = law(i, n, a)
+                    assert type(got) is type(expected[law, a])
+                    assert got == expected[law, a], (law.__name__, i, n, a)
+
+
+def test_a_threshold_sweep_runs_a_logarithmic_number_of_passes(monkeypatch):
+    """60 heads and tails of one node at n = 2000, as criterion 04 reads
+    them, make 7 passes over its weights: the tail's terms are made once and
+    doubled once, the head's at most doubled per call."""
+    passes = []
+    product = oracle._truncated_product
+
+    def counting(w, order, start=None):
+        passes.append(order)
+        return product(w, order, start)
+
+    monkeypatch.setattr(oracle, "_truncated_product", counting)
+    oracle._node_memo.cache_clear()
+    try:
+        for a in range(30):
+            degree_tail(1, 2000, a)
+            degree_head(1, 2000, a)
+    finally:
+        oracle._node_memo.cache_clear()
+    assert len(passes) == 7, passes
+
+
+def test_the_node_memo_is_guarded_bounded_and_read_only(monkeypatch):
+    passes = []
+    monkeypatch.setattr(oracle, "_truncated_product", lambda *args: passes.append(args))
+    oracle._node_memo.cache_clear()
+    with pytest.raises(ResourceGuardError, match="degree tails are guarded"):
+        degree_tail(1, 10**9, 10**6)
+    assert degree_tail(1, 10**9, 10**9) == 0 and degree_head(1, 10**9, -1) == 0
+    assert passes == [] and oracle._node_memo.cache_info().currsize == 0
+    monkeypatch.undo()
+    # at most DEGREE_TAIL_MAX_WORK // span terms, where doubling would pass it
+    monkeypatch.setattr(oracle, "DEGREE_TAIL_MAX_WORK", 10**6)
+    oracle._node_memo.cache_clear()
+    try:
+        tails = [degree_tail(1, 10001, a) for a in (40, 70)]
+        held = oracle._node_terms(10001, 1, float, 0)
+        assert len(held) == 10**6 // 10000
+        oracle._node_memo.cache_clear()
+        assert tails[1] == degree_tail(1, 10001, 70)
+        degree_head(3, 50, 4)
+        for terms in (held, oracle._node_terms(50, 3, object, 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                terms[0] = 0
+    finally:
+        oracle._node_memo.cache_clear()
+
+
 def _binomial_acceptance(reps, p, alpha):
     """``[lo, hi]`` leaving at most ``alpha / 2`` of Binomial(reps, p) on each side."""
     pmf = [math.comb(reps, k) * p**k * (1 - p) ** (reps - k) for k in range(reps + 1)]
