@@ -490,9 +490,9 @@ def test_experiment_echo_shows_the_workers_that_run(capsys, monkeypatch):
     pools = []
     context = experiments.get_context()
 
-    def pool(workers):
+    def pool(workers, *setup):
         pools.append(workers)
-        return context.Pool(workers)
+        return context.Pool(workers, *setup)
 
     monkeypatch.setattr(experiments, "get_context", lambda: SimpleNamespace(Pool=pool))
     for argv, workers in ((("level_exceedance", "--reps", "3"), 1),
