@@ -230,6 +230,25 @@ def test_moment_table_equals_a_plain_rational_recursion():
         }
 
 
+# the 22 first-level targets of the exact_oracles bench: the three mean counts,
+# then every joint factorial moment of d <= 3 and 1 <= K <= 3
+BENCH_TARGETS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [
+    k for k in itertools.product(range(4), repeat=3) if 1 <= sum(k) <= 3]
+# sha256 over every row of the two tables below, as "n,k,hex(numerator),hex(denominator);"
+MOMENT_TABLE_DIGEST = "52401cbfaec0189bdca71be95c839b4ce6df971486b38a5b3b01349f3fee3a5d"
+
+
+def test_moment_tables_are_pinned_fraction_for_fraction():
+    """hex() needs no decimal conversion, whose digit limit values past n ~ 5000 exceed."""
+    digest = hashlib.sha256()
+    for table in (MomentTable.for_targets(BENCH_TARGETS, [*range(2, 65), 500, 2048, 4096]),
+                  MomentTable.for_targets(ORDER_6_CLOSURE, [2000])):
+        for n, v, value in table.rows():
+            digest.update(f"{n},{v},{hex(value.numerator)},{hex(value.denominator)};".encode())
+    assert len(BENCH_TARGETS) == 22
+    assert digest.hexdigest() == MOMENT_TABLE_DIGEST
+
+
 # sha256 of json.dumps of the float-recursion values at n = 5000 over every
 # vector of d <= 3 and total <= 14 (the closure of the golden pilot's TV
 # bound), in sweep order; numpy 2.4.6 on x86-64
