@@ -19,7 +19,7 @@ from . import oracle
 from .bijection import Permutation, fixed_points_after_first, permutation_to_tree, tree_to_permutation
 from .errors import ResourceGuardError
 from .experiments import EXPERIMENT_ALIASES, EXPERIMENTS, ExperimentConfig, run_experiment, run_workers
-from .moments import MomentTable, exact_factorial_moment
+from .moments import MomentTable, exact_factorial_moment, fraction_text
 from .stats import degree_counts_in_level, degree_histogram, high_degree_fraction, level_sizes, max_degree
 from .tree import grow, grow_from_sequence, load_tree, save_tree
 
@@ -142,8 +142,7 @@ def _cmd_moments(args) -> int:
         else:
             table.write_csv(sys.stdout)
         return 0
-    value = exact_factorial_moment(args.n, k)
-    print(value)
+    print(fraction_text(exact_factorial_moment(args.n, k)))
     return 0
 
 

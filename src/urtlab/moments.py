@@ -17,9 +17,13 @@ where ``K = sum(k)``, ``move_1`` lowers ``k_1`` by one (attachment to the
 root) and ``move_j`` for ``j >= 2`` replaces ``(k_{j-1}, k_j)`` by
 ``(k_{j-1}+1, k_j-1)`` (a degree ``j-1`` node became degree ``j``).  The
 recursion is anchored at the deterministic two-node tree, where
-``X[2, 1] = 1`` and all other counts vanish.  For ``H(n, k) = (n-1)! E(n, k)``
-it reads ``H(n+1, k) = (n-K) H(n, k) + sum_j k_j H(n, move_j(k))`` in
-integers, so the exact sweep divides only where it keeps a row.
+``X[2, 1] = 1`` and all other counts vanish.  The exact sweep holds the row
+``E(n, .)`` as integer numerators ``h`` over one common denominator ``D``:
+one step is ``h' = (n-K) h + sum_j k_j h[move_j]`` over ``D' = n D``, in
+integers.  Whenever ``D`` has doubled in bit length since it was last
+reduced, numerators and ``D`` are divided by their gcd, so the integers stay
+within about twice the size of the reduced values instead of growing as
+``(n-1)!``.
 
 Every exact value here is a :class:`fractions.Fraction` and the exact
 recursion never touches floating point.  ``E(n, (1,)) == 1`` holds exactly
@@ -32,6 +36,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -39,16 +44,17 @@ import numpy as np
 
 from .errors import ResourceGuardError
 
-# exact sweeps stop here: (1, 1, 1) takes 0.3 s at 4096 and 2.3 s at 10^4 (2 vCPU)
+# exact sweeps stop here: (1, 1, 1) takes 0.08 s at 4096 and 0.4 s at 10^4 (2 vCPU)
 EXACT_MOMENT_GUARD_N = 10_000
 # an exact sweep's integers grow with n, so its cost goes as closure size x n^2:
-# a 462-vector closure took 1.0 s at n = 1000 and 4.0 s at 2000 (2 vCPU); the
+# a 462-vector closure took 0.56 s at n = 1000 and 1.75 s at 2000 (2 vCPU); the
 # work is guarded to what 25 vectors cost at EXACT_MOMENT_GUARD_N
 EXACT_MOMENT_MAX_WORK = 25 * EXACT_MOMENT_GUARD_N**2
 # each kept row reduces one Fraction of about n log n bits per closure vector,
-# which costs about n^2 / 32 of those work units: keeping every row of (1, 1, 1)'s
-# 14-vector closure took 2.5 s to n = 2000 and 18 s to n = 4000 (2 vCPU); the
-# kept rows get a budget of their own, so one row at any admitted n stays admitted
+# which costs about n^2 / 20 of those work units: keeping every row of (1, 1, 1)'s
+# 14-vector closure took 0.7 s to n = 2000 and 4.3 s to n = 4000 (2 vCPU), so a
+# full kept-row budget costs about 1.6x a full sweep's; the kept rows get a
+# budget of their own, so one row at any admitted n stays admitted
 KEPT_ROW_WORK_DIVISOR = 32
 # the closure of (0,..,0,k) grows about 4x per unit of k; this cap admits every
 # vector of d <= 3 and total <= 16 (969), and with FLOAT_SWEEP_BLOCK it bounds the
@@ -231,19 +237,36 @@ def _base_value(v: ExponentVector) -> int:
     return int(v.k[0] <= 1 and all(x == 0 for x in v.k[1:]))
 
 
+def _reduce(row: list[int], scale: int) -> tuple[list[int], int]:
+    """The row's numerators and their common denominator, divided by their gcd."""
+    g = math.gcd(scale, *row)
+    return [h // g for h in row], scale // g
+
+
 def _sweep(plan, n_max: int, snapshots: set[int]):
-    """Run the recursion of ``plan`` on ``H(n, k) = (n-1)! E(n, k)`` from n=2
-    to n_max, dividing by ``(n-1)!`` only in the rows kept for ``snapshots``."""
+    """Run the recursion of ``plan`` from n=2 to n_max and keep the rows of
+    ``snapshots``.  ``E(n, v) = row[v] / scale`` throughout; ``scale`` gains a
+    factor n per step and is reduced with the row each time its bit length
+    has doubled since the last reduction, which costs one gcd per doubling."""
     row = [_base_value(v) for v, _, _ in plan]
-    scale = 1  # (n-1)!
+    scale = 1
+    reduced_bits = 1
     kept = {}
     for n in range(2, n_max + 1):
         if n in snapshots:
             kept[n] = {v: Fraction(h, scale) for (v, _, _), h in zip(plan, row)}
         if n < n_max:
-            row = [(n - total) * row[pos] + sum(weight * row[moved] for weight, moved in moves)
-                   for pos, (_, total, moves) in enumerate(plan)]
+            stepped = []
+            for h, (_, total, moves) in zip(row, plan):
+                h *= n - total
+                for weight, moved in moves:
+                    h += row[moved] if weight == 1 else weight * row[moved]
+                stepped.append(h)
+            row = stepped
             scale *= n
+            if scale.bit_length() >= 2 * reduced_bits:
+                row, scale = _reduce(row, scale)
+                reduced_bits = scale.bit_length()
     return kept
 
 
@@ -310,11 +333,21 @@ class MomentTable:
                 yield n, v, self._rows[n][v]
 
     def write_csv(self, fh) -> None:
-        """CSV rows ``n, k (dash-joined), numerator, denominator``."""
+        """CSV rows ``n, k (dash-joined), numerator, denominator``, written in
+        full at every n by way of Decimal, as in :func:`fraction_text`."""
         writer = csv.writer(fh)
         writer.writerow(["n", "k", "numerator", "denominator"])
-        for n, v, val in self.rows():
-            writer.writerow([n, str(v), val.numerator, val.denominator])
+        writer.writerows((n, v, Decimal(val.numerator), Decimal(val.denominator))
+                         for n, v, val in self.rows())
+
+
+def fraction_text(value: Fraction) -> str:
+    """``str(value)`` at every size.  str() of an int refuses more digits than
+    sys.get_int_max_str_digits() (4300 by default), which E(n, (0, 0, 3)) passes
+    from n = 4400 or so; the conversion to Decimal has no such limit."""
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def exact_factorial_moment(n: int, k: VectorLike) -> Fraction:

@@ -1,7 +1,10 @@
+import csv
 import json
 import struct
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -248,7 +251,7 @@ def test_moments_beyond_the_exact_guard_exits_2(capsys):
 
 
 @pytest.mark.parametrize("k, guard", [
-    ("0,0,0,0,6", "closure size x n^2"),  # 462 vectors: 1.0 s at n = 1000, 4.0 s at 2000
+    ("0,0,0,0,6", "closure size x n^2"),  # 462 vectors: 0.56 s at n = 1000, 1.75 s at 2000
     (",".join(["0"] * 14 + ["14"]), "guarded to 1024 vectors"),  # about 10^8 vectors
 ])
 def test_moments_closure_guards_exit_2_at_once(capsys, k, guard):
@@ -267,7 +270,7 @@ def test_moments_closure_guards_exit_2_at_once(capsys, k, guard):
 
 def test_moments_table_kept_rows_are_guarded(capsys, monkeypatch):
     """Each kept row reduces one Fraction per closure vector: every n up to 4000
-    took 20 s for (1, 1, 1), so every n up to 10^4 is refused before the sweep."""
+    took 4.3 s for (1, 1, 1), so every n up to 10^4 is refused before the sweep."""
     sweeps = []
     real_sweep = moments._sweep
 
@@ -287,6 +290,27 @@ def test_moments_table_kept_rows_are_guarded(capsys, monkeypatch):
                            "--ns", "2,100,1000")
     assert code == 0 and len(sweeps) == 1 and out.count("\n") == 1 + 3 * 14
 
+
+def _parse_fraction(numerator, denominator="1"):
+    """int() of a string refuses more than 4300 digits; Decimal does not."""
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+
+
+def test_moments_print_whole_values_past_the_int_digit_limit(capsys):
+    """E(10^4, (1, 1, 1)) has about 6,500 digits above and below the bar, past
+    str()'s 4300: both paths once exited 1, the table after a partial CSV."""
+    table = moments.MomentTable((1, 1, 1), [2, 10_000])
+    exact = moments.exact_factorial_moment(10_000, (1, 1, 1))
+    assert table.value(10_000, (1, 1, 1)) == exact and exact.denominator > 10**4300
+    code, out, err = run_cli(capsys, "moments", "--n", "10000", "--k", "1,1,1")
+    assert code == 0 and "error" not in err
+    assert _parse_fraction(*out.strip().split("/")) == exact
+    code, out, err = run_cli(capsys, "moments", "--k", "1,1,1", "--table", "--ns", "2,10000")
+    assert code == 0 and "error" not in err
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["n", "k", "numerator", "denominator"]
+    assert [(int(n), k, _parse_fraction(num, den)) for n, k, num, den in rows] == [
+        (n, str(v), value) for n, v, value in table.rows()]
 
 def test_enumerate_rejects_parameters_the_statistic_does_not_take(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--statistic", "max_degree",

@@ -249,6 +249,69 @@ def test_moment_tables_are_pinned_fraction_for_fraction():
     assert digest.hexdigest() == MOMENT_TABLE_DIGEST
 
 
+
+def _exponential_formula_moments(k, n_max):
+    """E(n, k) for n = 2..n_max, independent of the recursion (Flajolet and
+    Sedgewick, Analytic Combinatorics, ch. II): a recursive tree on l nodes
+    whose root has d - 1 children is counted by [l-1, d-1], so the level-1
+    subtrees of degree d have EGF A_d(u) = sum_l [l-1, d-1] u^l / l!, and
+    E(n, k) = sum_{j <= n-1} [u^j] prod_d A_d(u)^{k_d}."""
+    top = n_max - 1
+    stirling = [[1]]  # unsigned Stirling numbers of the first kind, [m, j]
+    for m in range(top):
+        prev = stirling[-1] + [0]
+        stirling.append([m * prev[j] + (prev[j - 1] if j else 0) for j in range(m + 2)])
+
+    def times(a, b):
+        return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(top + 1)]
+
+    series = [Fraction(1)] + [Fraction(0)] * top
+    for d, kd in enumerate(k, start=1):
+        a_d = [Fraction(0)] + [Fraction(stirling[l - 1][d - 1] if d <= l else 0, math.factorial(l))
+                               for l in range(1, top + 1)]
+        for _ in range(kd):
+            series = times(series, a_d)
+    return {n: sum(series[:n]) for n in range(2, n_max + 1)}
+
+
+def test_moment_table_equals_the_exponential_formula():
+    """Every vector of d <= 3 and K <= 3, and some of d = 4 or K = 4, every n <= 60."""
+    vectors = [k for k in itertools.product(range(4), repeat=3) if sum(k) <= 3]
+    vectors += [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 2), (4,), (2, 2), (1, 1, 2), (0, 0, 4)]
+    table = MomentTable.for_targets(vectors, range(2, 61))
+    for k in vectors:
+        for n, value in _exponential_formula_moments(k, 60).items():
+            assert table.value(n, k) == value, (n, k)
+
+
+def test_the_sweep_reduces_its_denominator_whenever_it_doubles(monkeypatch):
+    """E(n, v) = row[v] / scale, and scale gains at most n.bit_length() bits a
+    step, so under the doubling rule it never passes twice its size at the last
+    reduction plus that; each reduction leaves the least common denominator."""
+    reductions = []  # (bits of scale before, after)
+    real_reduce = moments._reduce
+
+    def reduce(row, scale):
+        reduced_row, reduced = real_reduce(row, scale)
+        assert reduced == math.lcm(*(Fraction(h, scale).denominator for h in row))
+        assert max(h.bit_length() for h in row) <= scale.bit_length() + 2
+        reductions.append((scale.bit_length(), reduced.bit_length()))
+        return reduced_row, reduced
+
+    monkeypatch.setattr(moments, "_reduce", reduce)
+    n = 2048
+    table = MomentTable.for_targets(BENCH_TARGETS, [n])
+    after = 1  # scale starts at 1
+    for before, reduced in reductions:
+        assert before <= 2 * after + n.bit_length()
+        after = reduced
+    bound = 2 * after + n.bit_length()  # past the last reduction
+    # without it scale is (n-1)!, of 19,570 bits; it is a multiple of the kept
+    # values' denominators, the largest of 6,739 bits
+    assert math.factorial(n - 1).bit_length() == 19_570
+    assert max(table.value(n, k).denominator.bit_length() for k in BENCH_TARGETS) == 6_739
+    assert 6_739 <= bound < 11_000 and len(reductions) < 20
+
 # sha256 of json.dumps of the float-recursion values at n = 5000 over every
 # vector of d <= 3 and total <= 14 (the closure of the golden pilot's TV
 # bound), in sweep order; numpy 2.4.6 on x86-64
