@@ -312,6 +312,7 @@ def test_moments_print_whole_values_past_the_int_digit_limit(capsys):
     assert [(int(n), k, _parse_fraction(num, den)) for n, k, num, den in rows] == [
         (n, str(v), value) for n, v, value in table.rows()]
 
+
 def test_enumerate_rejects_parameters_the_statistic_does_not_take(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--statistic", "max_degree",
                              "--k", "1")

@@ -249,7 +249,6 @@ def test_moment_tables_are_pinned_fraction_for_fraction():
     assert digest.hexdigest() == MOMENT_TABLE_DIGEST
 
 
-
 def _exponential_formula_moments(k, n_max):
     """E(n, k) for n = 2..n_max, independent of the recursion (Flajolet and
     Sedgewick, Analytic Combinatorics, ch. II): a recursive tree on l nodes
@@ -311,6 +310,7 @@ def test_the_sweep_reduces_its_denominator_whenever_it_doubles(monkeypatch):
     assert math.factorial(n - 1).bit_length() == 19_570
     assert max(table.value(n, k).denominator.bit_length() for k in BENCH_TARGETS) == 6_739
     assert 6_739 <= bound < 11_000 and len(reductions) < 20
+
 
 # sha256 of json.dumps of the float-recursion values at n = 5000 over every
 # vector of d <= 3 and total <= 14 (the closure of the golden pilot's TV
