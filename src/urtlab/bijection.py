@@ -27,12 +27,14 @@ from .tree import RecursiveTree, grow_from_sequence
 
 @dataclass(frozen=True)
 class Permutation:
-    """One-indexed permutation: ``values`` is a rearrangement of ``1..n``."""
+    """One-indexed permutation: ``values`` is a rearrangement of ``1..n``, ``n >= 1``."""
 
     values: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.values)
+        if n == 0:
+            raise ValueError("empty permutation")
         if sorted(self.values) != list(range(1, n + 1)):
             raise ValueError("values must be a permutation of 1..n")
 
@@ -68,8 +70,6 @@ def permutation_to_tree(perm: Union[Permutation, Sequence[int]]) -> RecursiveTre
     if not isinstance(perm, Permutation):
         perm = Permutation(tuple(int(v) for v in perm))
     n = perm.n
-    if n == 0:
-        raise ValueError("empty permutation")
     if perm.values[0] != 1:
         raise NotInImageError("images of the tree map fix position 1")
     sigma = list(perm.values)

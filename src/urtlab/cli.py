@@ -200,17 +200,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # a flag left out takes ExperimentConfig's default
+    given = {"model": args.model, "d_max": args.dmax, "eps": args.eps,
+             "k_grid": None if args.k is None else tuple(_ints(args.k)),
+             "t_grid": None if args.t is None else tuple(_floats(args.t))}
     config = ExperimentConfig(
         experiment=args.id,
         n_grid=tuple(_ints(args.n)),
         replications=args.reps,
         seed=args.seed,
-        model=args.model,
-        k_grid=tuple(_ints(args.k)),
-        t_grid=tuple(_floats(args.t)),
-        d_max=args.dmax,
-        eps=args.eps,
         workers=args.workers,
+        **{field: value for field, value in given.items() if value is not None},
     )
     _echo("experiment", {"id": args.id, **config.to_dict(), "workers": run_workers(config),
                          "out": args.out, "format": args.format})
@@ -291,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated n grid")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--model", default="uniform", choices=["uniform", "preferential"])
-    p.add_argument("--k", default="1", help="comma-separated level grid")
-    p.add_argument("--t", default="0.5", help="comma-separated threshold grid")
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--model", choices=["uniform", "preferential"])
+    p.add_argument("--k", help="comma-separated level grid")
+    p.add_argument("--t", help="comma-separated threshold grid")
+    p.add_argument("--dmax", type=int)
+    p.add_argument("--eps", type=float)
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
     p.add_argument("--format", default="json", choices=["json", "csv"])

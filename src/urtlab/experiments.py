@@ -109,10 +109,7 @@ class ExperimentConfig:
         check_seed(self.seed)
         model = GrowthModel.parse(self.model)
         object.__setattr__(self, "model", model.name.lower())
-        if min(self.n_grid) < model.min_nodes:
-            raise ValueError(
-                f"{model.name} growth needs n >= {model.min_nodes}, got {min(self.n_grid)}"
-            )
+        model.node_count(min(self.n_grid))
         if model is not GrowthModel.UNIFORM and "model" not in READS[name]:
             growers = ", ".join(e for e, fields in READS.items() if "model" in fields)
             raise ValueError(
@@ -585,8 +582,8 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
 # --------------------------------------------------------------------------
 # closed-form tail bounds versus exact or simulated tails
 
-def _admissible_indices(n: int, t: float, eps: float, side: str, points: int = 8):
-    """Log grid of node indices satisfying the side's index condition."""
+def _admissible_indices(n: int, t: float, eps: float, side: str):
+    """Log grid of up to 8 node indices satisfying the side's index condition."""
     if side == "upper":
         lo = int(math.floor(n ** (1.0 - t + eps) + 1e-9)) + 1
         hi = n - 1
@@ -595,7 +592,7 @@ def _admissible_indices(n: int, t: float, eps: float, side: str, points: int = 8
         lo = 1
     if lo > hi:
         return []
-    grid = np.unique(np.geomspace(lo, hi, points).round().astype(int))
+    grid = np.unique(np.geomspace(lo, hi, 8).round().astype(int))
     return [int(i) for i in grid if lo <= i <= hi]
 
 

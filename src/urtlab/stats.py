@@ -6,34 +6,28 @@ statistics never derive its levels.  The level statistics also come
 streamed: :func:`streamed_level_profiles` and :func:`streamed_level_sizes`
 read the uniform tree ``grow("uniform", n, seed)`` would hold from the same
 draws, one block at a time, without ever holding its length-``n`` arrays.
-Nodes are born in order, so :func:`urtlab.tree._level_pass` derives
-levels from the draws as they come, and a level array capped at
-``max(k) + 1`` (one byte per node) is all the state that grows with
-``n``.  A degree profile then needs the ids of the level's nodes and the
-parents of the next level's.  The pass hands over each block's parent
-levels as it derives them, so the statistics read both off those with no
-gather of their own.  The streamed and tree-read statistics share one
-reduction, so their results are equal.  All functions are pure and never
-mutate a tree, so they are safe to call concurrently.
+Those draws and their levels come from :func:`urtlab.tree._uniform_levels`,
+which owns the stream beside :func:`~urtlab.tree.grow`: nodes are born in
+order, so its level pass derives levels from the draws as they come, and a
+level array capped at ``max(k) + 1`` (one byte per node) is all the state
+that grows with ``n``.  A degree profile then needs the ids of the level's
+nodes and the parents of the next level's.  The pass hands over each
+block's parent levels as it derives them, so the statistics read both off
+those with no gather of their own.  The streamed and tree-read statistics
+share one reduction, so their results are equal.  All functions are pure
+and never mutate a tree, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyLevelError
-from .rng import generator
-from .tree import (_LEVEL_BLOCK, _MARK_CAP, GrowthModel, RecursiveTree, _guard_memory, _level_pass,
-                   _uniform_blocks, _writable)
-
-# peak RSS per node over a 30-MiB interpreter of the streamed statistics with
-# 1-byte levels, at 10^6 and 4 x 10^6 nodes: 7.4-7.6 and 2.7 bytes, of which
-# 1.0 grows with n and the rest is a fixed 6 MiB
-STREAM_BYTES_PER_NODE = 3
+from .tree import _LEVEL_BLOCK, _MARK_CAP, RecursiveTree, _uniform_levels, _writable
 
 
 @dataclass(frozen=True)
@@ -126,24 +120,6 @@ def _profile(k: int, degrees: np.ndarray) -> LevelDegreeProfile:
     )
 
 
-def _streamed_levels(n: int, seed: int, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(start, parent, up)`` per block of uniform growth from ``seed``, from
-    :func:`urtlab.tree._level_pass` with levels capped at ``cap``: the
-    block's parents, and their levels where those are below ``cap``, and
-    ``cap`` or more otherwise.  Each block is valid until the next one is
-    drawn.
-
-    Levels live in the smallest unsigned dtype that holds ``cap``.  Growth
-    past physical memory at :data:`STREAM_BYTES_PER_NODE` per byte of level
-    raises before anything is allocated, as does ``n < 1``.
-    """
-    n = GrowthModel.UNIFORM.node_count(n)
-    dtype = np.min_scalar_type(cap)
-    _guard_memory(n, STREAM_BYTES_PER_NODE * dtype.itemsize)
-    levels = np.zeros(n, dtype=dtype)
-    yield from _level_pass(_uniform_blocks(n, generator(seed)), levels, cap)
-
-
 def streamed_level_profiles(n: int, seed: int, ks: Iterable[int]) -> dict[int, LevelDegreeProfile]:
     """Degree profiles of levels ``ks`` of ``grow("uniform", n, seed)``, streamed.
 
@@ -153,11 +129,13 @@ def streamed_level_profiles(n: int, seed: int, ks: Iterable[int]) -> dict[int, L
     child count, plus its parent edge for ``k >= 1``.
     """
     ks = sorted({int(k) for k in ks})
+    if not ks:
+        raise ValueError("give at least one level k")
     if ks[0] < 0:
         raise ValueError(f"level k must be >= 0, got {ks[0]}")
     own = {k: [np.arange(1 if k == 0 else 0)] for k in ks}  # the root is level 0
     kids = {k: [np.empty(0, dtype=np.int64)] for k in ks}
-    for start, parent, up in _streamed_levels(n, seed, ks[-1] + 1):
+    for start, parent, up in _uniform_levels(n, seed, ks[-1] + 1):
         for k in ks:
             own[k].append(np.flatnonzero(up == k - 1) + start)  # a level-k node's parent is at k - 1
             kids[k].append(parent[up == k])
@@ -177,7 +155,7 @@ def streamed_level_sizes(n: int, seed: int, top: int) -> np.ndarray:
     sizes = np.zeros(top + 1, dtype=np.int64)
     sizes[0] = 1
     cap = max(top, 1)
-    for _, _, up in _streamed_levels(n, seed, cap):
+    for _, _, up in _uniform_levels(n, seed, cap):
         # up to _MARK_CAP few of a block's nodes have a parent below the cap; past it most do
         low = up if cap > _MARK_CAP else up[up < top]
         sizes[1:] += np.bincount(low, minlength=top)[:top]  # parent level k - 1 counts for k

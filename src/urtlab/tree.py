@@ -20,9 +20,10 @@ Two growth models are supported:
   list is never built: each pick decodes by one XOR to a node index or a
   link to a parent it copies, and only the copies gather from ``parent``.
 
-Both models draw their picks one block of nodes at a time; uniform
-blocks come from :func:`_uniform_blocks`.  The picks are numpy's own
-bounded draws, ``rng.integers(0, bounds)``: :class:`_Words` makes them by
+Both models draw their picks through one loop, :func:`_bounded_blocks`,
+one block of nodes at a time: node ``i`` draws ``rng.integers(0, i)`` in
+uniform growth and ``rng.integers(0, 2(i-1))`` in preferential growth.
+The picks are numpy's own bounded draws: :class:`_Words` makes them by
 Lemire's method, as numpy does, from the bit generator's raw 32-bit words,
 in bulk rather than one element at a time, as views of one ``random_raw``
 array per block; bounds and draws go to buffers reused from block to block,
@@ -37,9 +38,10 @@ both come from one forward pass over blocks of nodes: since
 over the block's own links leads each of its nodes out of it.  That costs
 O(n) on uniform trees and O(n log block) at worst (a path), and holds only
 block-sized arrays beside the result.  :func:`_level_pass` alone derives
-levels, from a tree's parents or, in :mod:`urtlab.stats`, straight from
-the uniform draws.  Capped at a small level, as the streamed statistics
-ask, it walks no chains: a uniform tree at ``n = 10^6`` holds about 15
+levels, from a tree's parents or, in :func:`_uniform_levels`, which
+owns the streamed statistics' draws beside :func:`grow`, straight from
+the uniform draws.  Capped at a small level, as those statistics ask, the
+pass walks no chains: a uniform tree at ``n = 10^6`` holds about 15
 level-1 nodes and 100 at level 2, and the pass writes only those, reading
 each node's parent level with one gather per block.
 
@@ -66,6 +68,10 @@ DETERMINISTIC = "deterministic"
 # grow() 14 and 10 bytes for either model, then 27 and 22 once degrees and
 # levels are read
 GROWTH_BYTES_PER_NODE = 32
+# peak RSS per node over a 30-MiB interpreter of the streamed statistics with
+# 1-byte levels, at 10^6 and 4 x 10^6 nodes: 7.4-7.6 and 2.7 bytes, of which
+# 1.0 grows with n and the rest is a fixed 6 MiB
+STREAM_BYTES_PER_NODE = 3
 
 _LEVEL_BLOCK = 1 << 14  # nodes per block of uniform draws and of the level pass
 # _level_pass marks the levels below caps up to _MARK_CAP and walks chains
@@ -380,25 +386,29 @@ class _Words:
         return out
 
 
-def _uniform_blocks(n: int, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
-    """``(start, parent[start:stop])`` of uniform growth, one block of
-    :data:`_LEVEL_BLOCK` nodes at a time.  Each block is valid until the
-    next one is drawn: the draws of every block go into one buffer.
-
-    Node ``i`` draws ``rng.integers(0, i)``.  :class:`_Words` makes those
-    draws from raw words, so the blocks concatenate to numpy's own
-    ``rng.integers(0, np.arange(1, n))`` and leave ``rng`` in the same
-    state; the tests pin that equality to the installed numpy.
+def _bounded_blocks(n: int, rng: np.random.Generator, first: int,
+                    scale: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, draws)`` per block of :data:`_LEVEL_BLOCK` nodes of
+    ``first..n-1``, where node ``i`` draws ``rng.integers(0, scale * (i -
+    first + 1))``.  Bounds and draws go to two buffers, sized to a tree
+    smaller than one block, so each block is valid until the next is drawn.
+    The blocks concatenate to numpy's own draws for those bounds and leave
+    ``rng`` in its state after them; the tests pin that to the installed numpy.
     """
-    highs = np.arange(1, min(_LEVEL_BLOCK, n - 1) + 1)  # the block's bounds, start..stop-1
+    highs = scale * np.arange(1, min(_LEVEL_BLOCK, n - first) + 1)  # the block's bounds
     out = np.zeros(highs.size, dtype=np.int64)
     with _Words(rng) as words:
-        for start in range(1, n, _LEVEL_BLOCK):
+        for start in range(first, n, _LEVEL_BLOCK):
             size = min(_LEVEL_BLOCK, n - start)
-            first = int(start == 1)  # node 1's bound of 1 takes no word and draws 0
-            words.draw(highs[first:size], start + size - 1, out[first:size])
+            skip = int(highs[0] == 1)  # a bound of 1 takes no word and draws 0
+            words.draw(highs[skip:size], int(highs[size - 1]), out[skip:size])
             yield start, out[:size]
-            highs += _LEVEL_BLOCK
+            highs += scale * _LEVEL_BLOCK
+
+
+def _uniform_blocks(n: int, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, parent[start:stop])`` of uniform growth, drawn by :func:`_bounded_blocks`."""
+    return _bounded_blocks(n, rng, 1, 1)
 
 
 def _uniform_parents(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -417,38 +427,30 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     ``i >= 2`` attaches to entry ``d_i``, uniform on ``[0, 2(i-1))``, drawn
     independently of earlier outcomes.  Entry ``d_i`` lies on the edge of
     node ``v = d_i // 2 + 1 < i``: an odd ``d_i`` is ``v`` itself, an even
-    one copies ``parent[v]``.  Blocks of :data:`_LEVEL_BLOCK` nodes draw in
-    one batch each.  Each pick decodes, with no mask, to
+    one copies ``parent[v]``.  :func:`_bounded_blocks` draws the picks of a
+    block of nodes in one batch.  Each pick decodes, with no mask, to
     ``v ^ -(d_i & 1)``: an even pick keeps the link ``v``, an odd one
     becomes ``~v < 0``, a parent named outright, which ends its chain.
     :func:`_chain_ends` follows the copy links until each ends below the
     block; the named ends are written as ``~end``, and only the copies read
     ``parent`` at their end.
 
-    The picks are numpy's ``rng.integers(0, 2 * np.arange(1, n - 1))``,
-    drawn from raw words by :class:`_Words` and left with ``rng`` in numpy's
-    state; the tests pin that equality to the installed numpy.  So the
-    parents equal those of the sequential list walk, draw for draw.
+    The picks are numpy's ``rng.integers(0, 2 * np.arange(1, n - 1))``, so
+    the parents equal those of the sequential list walk, draw for draw.
     """
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
     parent[1] = 0
-    highs = 2 * np.arange(1, min(_LEVEL_BLOCK, n - 2) + 1)  # bounds 2(start-1)..2(stop-2)
-    picks = np.empty(highs.size, dtype=np.int64)
-    with _Words(rng) as words:
-        for start in range(2, n, _LEVEL_BLOCK):
-            stop = min(start + _LEVEL_BLOCK, n)
-            link = words.draw(highs[:stop - start], 2 * (stop - 2), picks[:stop - start])  # d_i
-            odd = link & 1
-            link >>= 1
-            link += 1  # v, the node whose edge holds entry d_i
-            link ^= np.negative(odd, out=odd)  # odd d_i: ~v; even: v
-            end, _ = _chain_ends(link, start)
-            copies = np.flatnonzero(end >= 0)
-            block = parent[start:stop]
-            np.invert(end, out=block)  # a named end is ~parent; copies are overwritten next
-            block[copies] = parent[end[copies]]  # a copied end is below start, so final
-            highs += 2 * _LEVEL_BLOCK
+    for start, link in _bounded_blocks(n, rng, 2, 2):  # d_i
+        odd = link & 1
+        link >>= 1
+        link += 1  # v, the node whose edge holds entry d_i
+        link ^= np.negative(odd, out=odd)  # odd d_i: ~v; even: v
+        end, _ = _chain_ends(link, start)
+        copies = np.flatnonzero(end >= 0)
+        block = parent[start:start + end.size]
+        np.invert(end, out=block)  # a named end is ~parent; copies are overwritten next
+        block[copies] = parent[end[copies]]  # a copied end is below start, so final
     return parent
 
 
@@ -477,10 +479,28 @@ def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     return RecursiveTree(sample(n, generator(seed)), model, seed)
 
 
+def _uniform_levels(n: int, seed: int, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """:func:`_level_pass` at ``cap`` over the blocks ``grow("uniform", n, seed)``
+    draws, with levels in the smallest unsigned dtype that holds ``cap``.
+    Growth past physical memory at :data:`STREAM_BYTES_PER_NODE` per byte
+    of level raises before anything is allocated, as does ``n < 1``.
+    """
+    n = GrowthModel.UNIFORM.node_count(n)
+    dtype = np.min_scalar_type(cap)
+    _guard_memory(n, STREAM_BYTES_PER_NODE * dtype.itemsize)
+    levels = np.zeros(n, dtype=dtype)
+    yield from _level_pass(_uniform_blocks(n, generator(seed)), levels, cap)
+
+
+def _misplaced(seq: np.ndarray) -> np.ndarray:
+    """Indices ``i-1`` of the entries ``seq[i-1]`` outside ``0..i-1``."""
+    return np.flatnonzero((seq < 0) | (seq >= np.arange(1, seq.shape[0] + 1)))
+
+
 def _parent_array(seq: np.ndarray) -> np.ndarray:
     """``[-1, *seq]`` as int64, once every ``seq[i-1]`` is checked to lie in ``0..i-1``."""
     n = seq.shape[0] + 1
-    bad = np.flatnonzero((seq < 0) | (seq >= np.arange(1, n)))
+    bad = _misplaced(seq)
     if bad.size:
         i = int(bad[0]) + 1
         raise ValueError(f"parents[{i - 1}]={int(seq[i - 1])} is not a valid target for node {i}")
@@ -515,8 +535,7 @@ def validate(tree: RecursiveTree) -> list[str]:
         return [f"node count must be >= 1, got {n}"]
     if tree.parent.shape != (n,):
         return [f"parent array has shape {tree.parent.shape}, expected ({n},)"]
-    seq = tree.parent[1:]
-    if tree.parent[0] != -1 or ((seq < 0) | (seq >= np.arange(1, n))).any():
+    if tree.parent[0] != -1 or _misplaced(tree.parent[1:]).size:
         # degrees and levels are derived from valid parents only
         return ["parent[0] must be -1 and parent[i] must lie in {0..i-1} for every i >= 1"]
     for name, arr in (("degree", tree.degree), ("level", tree.level)):

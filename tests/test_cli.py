@@ -190,6 +190,14 @@ def test_bijection_fixed_points_and_errors(capsys):
     assert code == 1
 
 
+def test_an_empty_permutation_is_refused_in_both_modes(capsys):
+    """``--fixed-points`` counted the fixed points of no permutation as 0."""
+    for extra in ((), ("--fixed-points",)):
+        code, out, err = run_cli(capsys, "bijection", "--perm", "", *extra)
+        assert code == 1 and out == "", extra
+        assert err.count("error:") == 1 and "empty permutation" in err, extra
+
+
 def test_moments_prints_exact_fraction(capsys):
     code, out, _ = run_cli(capsys, "moments", "--n", "3", "--k", "0,1")
     assert code == 0
@@ -601,6 +609,32 @@ def test_experiment_rejects_a_non_finite_eps_up_front(capsys, monkeypatch, eps):
                              "--seed", "1", "--eps", eps, "--workers", "1")
     assert code == 1 and out == "" and calls == []
     assert err.count("error:") == 1 and "eps must be finite" in err
+
+
+@pytest.mark.parametrize("experiment", ["level_exceedance", "degree_distribution", "tail_vs_bound"])
+def test_experiment_flags_left_out_take_the_config_defaults(capsys, experiment):
+    """The parser holds no defaults of its own: a run without the optional
+    flags echoes and reports ``ExperimentConfig``'s."""
+    defaults = experiments.ExperimentConfig(experiment, (60,), 2, 1).to_dict()
+    code, out, err = run_cli(capsys, "experiment", experiment, "--n", "60", "--reps", "2",
+                             "--seed", "1")
+    assert code == 0
+    (echo,) = [line for line in err.splitlines() if line.startswith("# urtlab experiment ")]
+    echo = json.loads(echo[len("# urtlab experiment "):])
+    for field in ("model", "k_grid", "t_grid", "d_max", "eps"):
+        assert echo[field] == defaults[field], field
+    config = json.loads(out)["config"]
+    assert experiments.READS[experiment]
+    for field in experiments.READS[experiment]:
+        assert config[field] == defaults[field], field
+
+
+@pytest.mark.parametrize("flag", ["--k", "--t"])
+def test_experiment_refuses_an_empty_grid(capsys, flag):
+    code, out, err = run_cli(capsys, "experiment", "level_exceedance", "--n", "100",
+                             "--reps", "5", "--seed", "1", flag, "", "--workers", "1")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "grid must be nonempty" in err
 
 
 def test_experiment_invalid_grid(capsys):

@@ -89,7 +89,7 @@ def test_degree_counts_in_level_empty_level():
 def _refuse_draws(monkeypatch):
     def refuse(n, rng):
         raise AssertionError("drew before refusing")
-    monkeypatch.setattr(stats, "_uniform_blocks", refuse)
+    monkeypatch.setattr("urtlab.tree._uniform_blocks", refuse)
 
 
 def test_negative_levels_are_refused_streamed_or_not(monkeypatch):
@@ -101,6 +101,13 @@ def test_negative_levels_are_refused_streamed_or_not(monkeypatch):
     for top in (-1, -5):
         with pytest.raises(ValueError, match=f"level k must be >= 0, got {top}$"):
             stats.streamed_level_sizes(100, 1, top)
+
+
+def test_an_empty_list_of_levels_is_refused_before_any_draw(monkeypatch):
+    """It raised IndexError, reading the largest of no levels."""
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="give at least one level k"):
+        stats.streamed_level_profiles(100, 1, ())
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -190,7 +197,7 @@ def test_streamed_levels_past_one_byte_never_wrap(monkeypatch):
     past 255 need two bytes per node."""
     n = 3 * _LEVEL_BLOCK + 7
     path = np.arange(-1, n - 1)
-    monkeypatch.setattr(stats, "_uniform_blocks", lambda n, rng: (
+    monkeypatch.setattr("urtlab.tree._uniform_blocks", lambda n, rng: (
         (start, path[start:start + _LEVEL_BLOCK].copy()) for start in range(1, n, _LEVEL_BLOCK)))
     tree = grow_from_sequence(path[1:])
     for ks in ((1,), (1, 2), (0, 254, 255), (255, 256, 300)):
@@ -233,6 +240,6 @@ def test_streamed_statistics_match_fixed_shapes_at_every_cap(monkeypatch, shape)
     n = 3 * _LEVEL_BLOCK + 7
     parent = np.zeros(n, dtype=np.int64) if shape == "star" else _hung_off_chains(n)
     parent[0] = -1
-    monkeypatch.setattr(stats, "_uniform_blocks", lambda n, rng: (
+    monkeypatch.setattr("urtlab.tree._uniform_blocks", lambda n, rng: (
         (start, parent[start:start + _LEVEL_BLOCK].copy()) for start in range(1, n, _LEVEL_BLOCK)))
     _assert_streamed_statistics_match(n, 0, grow_from_sequence(parent[1:]))
