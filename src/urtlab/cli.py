@@ -5,11 +5,17 @@ Subcommands: ``generate``, ``stats``, ``bijection``, ``moments``,
 configuration (and master seed, where one applies) to stderr so any output
 can be reproduced from the printed line alone.  Exit codes: 0 success,
 1 invalid arguments, 2 resource-guard violations.
+
+``_emit`` writes every text result, once the command has computed it: to
+the ``--out`` file where the command takes one and it is given, otherwise to
+stdout, with the same bytes either way.  Only ``generate --out`` differs: it
+writes the tree's URT1 binary dump in place of the printed parent sequence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -39,12 +45,13 @@ def _floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part != ""]
 
 
-def _emit(payload: str, out) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        print(payload)
+def _emit(result, out) -> None:
+    """Write text, newline-ended, or what ``result(fh)`` writes, to ``out`` or stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(result, str):
+            fh.write(result if result.endswith("\n") else result + "\n")
+        else:
+            result(fh)
 
 
 def _load_input_tree(args):
@@ -65,7 +72,7 @@ def _cmd_generate(args) -> int:
     if args.out:
         save_tree(tree, args.out)
     else:
-        print(json.dumps([int(p) for p in tree.parent_sequence()]))
+        _emit(json.dumps([int(p) for p in tree.parent_sequence()]), None)
     return 0
 
 
@@ -75,7 +82,7 @@ def _cmd_stats(args) -> int:
     tree = _load_input_tree(args)
     model = tree.model.name.lower()
     _echo("stats", {"in": args.infile, "model": model, "n": tree.n, "seed": tree.seed,
-                    "k": args.k, "t": args.t})
+                    "k": args.k, "t": args.t, "out": args.out})
     sizes = level_sizes(tree)
     payload = {
         "n": tree.n,
@@ -108,21 +115,17 @@ def _cmd_bijection(args) -> int:
                         "fixed_points": args.fixed_points or None})
     if args.perm is not None:
         perm = Permutation(tuple(_ints(args.perm)))
-        if args.fixed_points:
-            print(fixed_points_after_first(perm))
-        else:
-            tree = permutation_to_tree(perm)
-            print(json.dumps([int(p) for p in tree.parent_sequence()]))
-        return 0
-    if args.parents is not None:
-        tree = grow_from_sequence(_ints(args.parents))
+    elif args.parents is not None:
+        perm = tree_to_permutation(grow_from_sequence(_ints(args.parents)))
     else:
-        tree = load_tree(args.infile)
-    perm = tree_to_permutation(tree)
+        perm = tree_to_permutation(load_tree(args.infile))
     if args.fixed_points:
-        print(fixed_points_after_first(perm))
+        answer = str(fixed_points_after_first(perm))
+    elif args.perm is not None:
+        answer = json.dumps([int(p) for p in permutation_to_tree(perm).parent_sequence()])
     else:
-        print(perm.to_json())
+        answer = perm.to_json()
+    _emit(answer, None)
     return 0
 
 
@@ -132,17 +135,13 @@ def _cmd_moments(args) -> int:
     if (args.n is None) == (args.ns is None):
         raise ValueError("give exactly one of --n and --ns")
     k = _ints(args.k)
-    _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns})
+    _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns,
+                      "out": args.out})
     if args.table:
-        ns = [args.n] if args.ns is None else _ints(args.ns)
-        table = MomentTable(k, ns)
-        if args.out:
-            with open(args.out, "w") as fh:
-                table.write_csv(fh)
-        else:
-            table.write_csv(sys.stdout)
-        return 0
-    print(fraction_text(exact_factorial_moment(args.n, k)))
+        table = MomentTable(k, [args.n] if args.ns is None else _ints(args.ns))
+        _emit(table.write_csv, args.out)
+    else:
+        _emit(fraction_text(exact_factorial_moment(args.n, k)), args.out)
     return 0
 
 
@@ -154,7 +153,7 @@ def _cmd_enumerate(args) -> int:
         params["k"] = args.k
     if args.t is not None:
         params["t"] = args.t
-    _echo("enumerate", {"n": args.n, "statistic": args.statistic, **params})
+    _echo("enumerate", {"n": args.n, "statistic": args.statistic, **params, "out": args.out})
     dist = oracle.exact_statistic_distribution(args.n, args.statistic, **params)
     payload = dist.to_dict()
     e = dist.expectation()
@@ -164,11 +163,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _echo("bounds", {"i": args.i, "n": args.n, "a": args.a, "t": args.t, "eps": args.eps})
+    for flag, needed in (("i", "n"), ("a", "i"), ("t", "n"), ("t", "eps"), ("eps", "t")):
+        if getattr(args, flag) is not None and getattr(args, needed) is None:
+            raise ValueError(f"--{flag} needs --{needed}")
+    _echo("bounds", {"i": args.i, "n": args.n, "a": args.a, "t": args.t, "eps": args.eps,
+                     "out": args.out})
     payload: dict = {}
     if args.i is not None:
-        if args.n is None:
-            raise ValueError("--i needs --n")
         s = bnd.expected_children(args.i, args.n)
         payload["i"] = args.i
         payload["n"] = args.n
@@ -186,10 +187,6 @@ def _cmd_bounds(args) -> int:
             payload["exact_tail_geq_a"] = float(oracle.degree_tail(args.i, args.n, strict_below))
             payload["exact_tail_leq_a"] = float(oracle.degree_head(args.i, args.n, a))
     if args.t is not None:
-        if args.n is None:
-            raise ValueError("--t needs --n")
-        if args.eps is None:
-            raise ValueError("--t needs --eps")
         high, low = bnd.tail_bound_pair(args.n, args.t, args.eps)
         payload["high_index_bound"] = high
         payload["low_index_bound"] = low
@@ -214,13 +211,7 @@ def _cmd_experiment(args) -> int:
     )
     _echo("experiment", {"id": args.id, **config.to_dict(), "workers": run_workers(config),
                          "out": args.out, "format": args.format})
-    report = run_experiment(config)
-    if args.out:
-        report.write(args.out, args.format)
-        print(f"# wrote {args.out} ({args.format}, {len(report.rows)} rows, "
-              f"{report.runtime_ms} ms)", file=sys.stderr)
-    else:
-        print(report.render(args.format))
+    _emit(run_experiment(config).render(args.format), args.out)
     return 0
 
 

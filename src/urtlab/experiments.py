@@ -78,6 +78,11 @@ READS = {
 }
 
 
+def _flag_text(flag: str, grid) -> str:
+    """A grid as the command line gives it, e.g. ``--k 1,2``."""
+    return f"--{flag} " + ",".join(map(str, grid))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid, replication and worker settings for one experiment run."""
@@ -102,7 +107,7 @@ class ExperimentConfig:
         for grid, kind in (("n_grid", int), ("k_grid", int), ("t_grid", float)):
             values = tuple(kind(x) for x in getattr(self, grid))
             if not values:
-                raise ValueError(f"{grid[0]} grid must be nonempty")
+                raise ValueError(f"--{grid[0]} grid must be nonempty")
             object.__setattr__(self, grid, values)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
@@ -119,7 +124,7 @@ class ExperimentConfig:
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
         if any(not 0.0 < t < 1.0 for t in self.t_grid):
-            raise ValueError(f"t values must lie in (0, 1), got {self.t_grid}")
+            raise ValueError(f"t values must lie in (0, 1), got {_flag_text('t', self.t_grid)}")
         if not math.isfinite(self.eps):
             raise ValueError(f"eps must be finite, got {self.eps}")
 
@@ -185,10 +190,6 @@ class ExperimentReport:
         if fmt == "csv":
             return self.to_csv()
         raise ValueError(f"unknown format {fmt!r}")
-
-    def write(self, path, fmt: str = "json") -> None:
-        with open(path, "w") as fh:
-            fh.write(self.render(fmt))
 
 
 def _usable_cpus() -> int:
@@ -341,7 +342,8 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
     count, plus the exact expected count where the DP oracle is in range.
     """
     if min(config.k_grid) < 1:
-        raise ValueError(f"this experiment needs levels k >= 1, got {config.k_grid}")
+        raise ValueError(f"this experiment needs levels k >= 1, "
+                         f"got {_flag_text('k', config.k_grid)}")
     _check_two_nodes(config)
     return _run(config, _kernel_level_exceedance, _level_exceedance_rows)
 
@@ -574,7 +576,8 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
     proportion scaled by ``ln n / k``, so their limits read 1.
     """
     if min(config.k_grid) < 2:
-        raise ValueError(f"this experiment needs levels k >= 2, got {config.k_grid}")
+        raise ValueError(f"this experiment needs levels k >= 2, "
+                         f"got {_flag_text('k', config.k_grid)}")
     _check_degree_span(config)
     return _run(config, _kernel_higher_level, _higher_level_rows)
 

@@ -12,7 +12,8 @@ import pytest
 from urtlab.cli import cli_main
 from urtlab import experiments, moments, stats
 from urtlab import tree as tree_module
-from urtlab.tree import load_tree
+from urtlab.bijection import fixed_points_after_first, tree_to_permutation
+from urtlab.tree import grow_from_sequence, load_tree, save_tree
 
 
 def run_cli(capsys, *argv):
@@ -148,14 +149,19 @@ def test_stats_refuses_thresholds_without_levels(capsys):
     ["stats", "--n", "50", "--seed", "3", "--k", "1,2", "--t", "0.5"],
     ["enumerate", "--n", "5", "--statistic", "max_degree"],
     ["bounds", "--i", "3", "--n", "100", "--a", "4"],
+    ["moments", "--n", "10", "--k", "1,1"],
+    ["moments", "--k", "1", "--table", "--ns", "4,5"],
+    ["experiment", "max_degree", "--n", "50", "--reps", "3", "--seed", "1", "--workers", "1",
+     "--format", "csv"],
 ])
 def test_out_file_holds_the_stdout_payload(tmp_path, capsys, argv):
     code, printed, _ = run_cli(capsys, *argv)
     assert code == 0
     path = tmp_path / "payload.json"
-    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
-    assert path.read_text() == printed
+    assert path.read_bytes() == printed.encode()
+    assert f'"out": {json.dumps(str(path))}' in err
 
 
 def test_stats_from_seed(capsys):
@@ -188,6 +194,19 @@ def test_bijection_fixed_points_and_errors(capsys):
     assert "position 1" in err
     code, _, _ = run_cli(capsys, "bijection", "--perm", "1,2", "--parents", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("extra", [(), ("--fixed-points",)], ids=["permutation", "fixed_points"])
+def test_bijection_reads_a_tree_file_as_it_reads_parents(tmp_path, capsys, extra):
+    path = tmp_path / "t.urt"
+    save_tree(grow_from_sequence([0, 0, 1]), path)
+    code, from_file, _ = run_cli(capsys, "bijection", "--in", str(path), *extra)
+    assert code == 0
+    code, from_parents, _ = run_cli(capsys, "bijection", "--parents", "0,0,1", *extra)
+    assert code == 0
+    perm = tree_to_permutation(grow_from_sequence([0, 0, 1]))
+    expected = str(fixed_points_after_first(perm)) if extra else perm.to_json()
+    assert from_file == from_parents == expected + "\n"
 
 
 def test_an_empty_permutation_is_refused_in_both_modes(capsys):
@@ -470,6 +489,20 @@ def test_bounds_at_the_last_node_gives_exact_tails(capsys, a, geq):
     assert not {"upper_tail_bound", "chernoff_upper_raw", "lower_tail_bound"} & payload.keys()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--a", "3", "--t", "0.5", "--n", "100", "--eps", "0.1"], "--a needs --i"),
+    (["--i", "5", "--n", "100", "--eps", "0.1"], "--eps needs --t"),
+    (["--i", "5", "--a", "3"], "--i needs --n"),
+    (["--t", "0.5"], "--t needs --n"),
+    (["--t", "0.5", "--n", "100"], "--t needs --eps"),
+])
+def test_bounds_refuses_a_flag_without_the_one_it_needs(capsys, argv, message):
+    """--a and --eps were echoed and then ignored without --i and --t."""
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and f"error: {message}\n" in err
+
+
 def test_bounds_without_work_is_invalid(capsys):
     code, _, _ = run_cli(capsys, "bounds")
     assert code == 1
@@ -635,6 +668,21 @@ def test_experiment_refuses_an_empty_grid(capsys, flag):
                              "--reps", "5", "--seed", "1", flag, "", "--workers", "1")
     assert code == 1 and out == ""
     assert err.count("error:") == 1 and "grid must be nonempty" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["higher_level_small_degree"], "this experiment needs levels k >= 2, got --k 1"),
+    (["level_exceedance", "--k=-1,2"], "this experiment needs levels k >= 1, got --k -1,2"),
+    (["level_exceedance", "--t", "0.5,1.5"], "t values must lie in (0, 1), got --t 0.5,1.5"),
+    (["level_exceedance", "--k", ""], "--k grid must be nonempty"),
+    (["first_level_degrees", "--dmax", "0"], "d_max must be >= 1, got 0"),
+])
+def test_experiment_refusals_give_the_flag_as_typed(capsys, argv, line):
+    """Refusals printed the grids as Python tuples, without the flag."""
+    code, out, err = run_cli(capsys, "experiment", *argv, "--n", "50", "--reps", "2",
+                             "--seed", "1", "--workers", "1")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and f"error: {line}\n" in err
 
 
 def test_experiment_invalid_grid(capsys):

@@ -267,6 +267,19 @@ def test_tail_vs_bound_skips_invalid_combinations():
     assert notes and any("skipped" in r["note"] for r in notes)
 
 
+def test_tail_vs_bound_notes_a_side_without_admissible_nodes():
+    """At n = 500, t = 0.5 and eps = 0.4 the low-index bound holds, but no
+    node index i >= 1 satisfies i <= n^(1-t-eps) - 1 = 500^0.1 - 1."""
+    rep = run_experiment(ExperimentConfig(
+        experiment="tail_vs_bound", n_grid=(500,), replications=1, seed=1,
+        t_grid=(0.5,), eps=0.4, workers=1,
+    ))
+    lower = [r for r in rep.rows if r["point"]["side"] == "lower"]
+    assert lower == [{"point": {"n": 500, "t": 0.5, "eps": 0.4, "side": "lower"},
+                      "note": "skipped: no admissible node indices", "seed": 1}]
+    assert all("note" not in r for r in rep.rows if r["point"]["side"] == "upper")
+
+
 def test_aliases_cover_spec_ids():
     assert EXPERIMENT_ALIASES["theorem21"] in EXPERIMENTS
     assert EXPERIMENT_ALIASES["theorem31"] in EXPERIMENTS
@@ -286,7 +299,7 @@ def test_alias_and_canonical_id_give_the_same_report():
 def test_report_serialization_round_trip(tmp_path):
     rep = run_experiment(small_config(replications=5))
     path = tmp_path / "report.json"
-    rep.write(path, "json")
+    path.write_text(rep.render("json"))
     loaded = json.loads(path.read_text())
     assert loaded["schema"] == "urt-report/1"
     assert loaded["seed"] == 90210
