@@ -4,7 +4,10 @@ Subcommands: ``generate``, ``stats``, ``bijection``, ``moments``,
 ``enumerate``, ``bounds``, ``experiment``.  Every run echoes its resolved
 configuration (and master seed, where one applies) to stderr so any output
 can be reproduced from the printed line alone.  Exit codes: 0 success,
-1 invalid arguments, 2 resource-guard violations.
+1 invalid arguments, 2 resource-guard violations; a refusal is one
+``error:`` line on stderr.  ``experiment`` makes every refusal of its
+settings before its echo, and names a setting by the flag and the value as
+typed, e.g. ``--reps 0`` or ``--k 1,2``.
 
 ``_emit`` writes every text result, once the command has computed it: to
 the ``--out`` file where the command takes one and it is given, otherwise to
@@ -24,7 +27,8 @@ from . import bounds as bnd
 from . import oracle
 from .bijection import Permutation, fixed_points_after_first, permutation_to_tree, tree_to_permutation
 from .errors import ResourceGuardError
-from .experiments import EXPERIMENT_ALIASES, EXPERIMENTS, ExperimentConfig, run_experiment, run_workers
+from .experiments import (EXPERIMENT_ALIASES, EXPERIMENTS, FLAGS, GRIDS, ExperimentConfig,
+                          run_experiment, run_workers)
 from .moments import MomentTable, exact_factorial_moment, fraction_text
 from .stats import degree_counts_in_level, degree_histogram, high_degree_fraction, level_sizes, max_degree
 from .tree import grow, grow_from_sequence, load_tree, save_tree
@@ -37,12 +41,15 @@ def _echo(command: str, settings: dict) -> None:
     print(f"# urtlab {command} {json.dumps(printable)}", file=sys.stderr)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+def _values(text: str, kind) -> list:
+    """The comma-separated values of ``text`` as ``kind``; empty parts are skipped."""
+    return [kind(part) for part in text.split(",") if part != ""]
 
 
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part != ""]
+def _given(args, flags: dict) -> dict:
+    """``{key: value}`` of each ``key: flag`` in ``flags`` whose flag was given."""
+    return {key: getattr(args, flag[2:]) for key, flag in flags.items()
+            if getattr(args, flag[2:]) is not None}
 
 
 def _emit(result, out) -> None:
@@ -94,10 +101,10 @@ def _cmd_stats(args) -> int:
     if tree.n >= 2:
         payload["max_degree"] = max_degree(tree)
     if args.k is not None:
-        ks = _ints(args.k)
+        ks = _values(args.k, int)
         payload["level_profiles"] = [degree_counts_in_level(tree, k).to_dict() for k in ks]
         if args.t is not None:
-            ts = _floats(args.t)
+            ts = _values(args.t, float)
             payload["exceedance_fractions"] = [
                 {"k": k, "t": t, "fraction": high_degree_fraction(tree, k, t)}
                 for k in ks
@@ -114,9 +121,9 @@ def _cmd_bijection(args) -> int:
     _echo("bijection", {"parents": args.parents, "perm": args.perm, "in": args.infile,
                         "fixed_points": args.fixed_points or None})
     if args.perm is not None:
-        perm = Permutation(tuple(_ints(args.perm)))
+        perm = Permutation(tuple(_values(args.perm, int)))
     elif args.parents is not None:
-        perm = tree_to_permutation(grow_from_sequence(_ints(args.parents)))
+        perm = tree_to_permutation(grow_from_sequence(_values(args.parents, int)))
     else:
         perm = tree_to_permutation(load_tree(args.infile))
     if args.fixed_points:
@@ -134,11 +141,11 @@ def _cmd_moments(args) -> int:
         raise ValueError("--ns needs --table; without it moments prints the one value at --n")
     if (args.n is None) == (args.ns is None):
         raise ValueError("give exactly one of --n and --ns")
-    k = _ints(args.k)
+    k = _values(args.k, int)
     _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns,
                       "out": args.out})
     if args.table:
-        table = MomentTable(k, [args.n] if args.ns is None else _ints(args.ns))
+        table = MomentTable(k, [args.n] if args.ns is None else _values(args.ns, int))
         _emit(table.write_csv, args.out)
     else:
         _emit(fraction_text(exact_factorial_moment(args.n, k)), args.out)
@@ -146,13 +153,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    params = {}
-    if args.d is not None:
-        params["d"] = args.d
-    if args.k is not None:
-        params["k"] = args.k
-    if args.t is not None:
-        params["t"] = args.t
+    params = _given(args, {"d": "--d", "k": "--k", "t": "--t"})
     _echo("enumerate", {"n": args.n, "statistic": args.statistic, **params, "out": args.out})
     dist = oracle.exact_statistic_distribution(args.n, args.statistic, **params)
     payload = dist.to_dict()
@@ -197,18 +198,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # a flag left out takes ExperimentConfig's default
-    given = {"model": args.model, "d_max": args.dmax, "eps": args.eps,
-             "k_grid": None if args.k is None else tuple(_ints(args.k)),
-             "t_grid": None if args.t is None else tuple(_floats(args.t))}
-    config = ExperimentConfig(
-        experiment=args.id,
-        n_grid=tuple(_ints(args.n)),
-        replications=args.reps,
-        seed=args.seed,
-        workers=args.workers,
-        **{field: value for field, value in given.items() if value is not None},
-    )
+    # a flag left out takes ExperimentConfig's default; the config refuses bad settings
+    settings = {field: _values(value, GRIDS[field]) if field in GRIDS else value
+                for field, value in _given(args, FLAGS).items()}
+    config = ExperimentConfig(args.id, **settings)
     _echo("experiment", {"id": args.id, **config.to_dict(), "workers": run_workers(config),
                          "out": args.out, "format": args.format})
     _emit(run_experiment(config).render(args.format), args.out)

@@ -8,13 +8,17 @@ from ``(master, r)``, and aggregation reduces the per-replication table in
 replication order, so a report is a pure function of ``(config, seed)``:
 the worker count changes wall time only.
 
-One driver, :func:`_run`, serves all seven experiments.  Each experiment
-supplies a picklable per-replication kernel of ``(config, n, seed)``,
-which reads its settings from the config by name, and a row builder that
-turns the ``(replications x columns)`` table at that ``n`` into report
-rows; ``tail_vs_bound`` has no kernel, as its rows are exact.  ``_run``
-opens one process pool for the whole run when :func:`run_workers`, the
-count the command line echoes, is above 1.  A kernel makes one
+:class:`ExperimentConfig` refuses every setting an experiment cannot run
+when it is built, and names each by its command-line flag (:data:`FLAGS`),
+so no run that starts refuses its settings.
+
+Each of the seven runners is one call of :func:`_run`, naming a picklable
+per-replication kernel of ``(config, n, seed)``, which reads its settings
+from the config by name, and a function that turns the ``(replications x
+columns)`` table at that ``n`` into report rows; ``tail_vs_bound`` has no
+kernel, as its rows are exact.
+``_run`` opens one process pool for the whole run when :func:`run_workers`,
+the count the command line echoes, is above 1.  A kernel makes one
 :mod:`urtlab.stats` call and packs the result into a tuple.  The four
 level kernels (``level_exceedance``, ``first_level_degrees``,
 ``level_sizes`` and ``higher_level_small_degree``) call the streamed level
@@ -40,7 +44,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from multiprocessing import get_context
 from typing import Callable, Optional
@@ -78,14 +82,22 @@ READS = {
 }
 
 
-def _flag_text(flag: str, grid) -> str:
-    """A grid as the command line gives it, e.g. ``--k 1,2``."""
-    return f"--{flag} " + ",".join(map(str, grid))
+# the command-line flag of each setting; the experiment is the command's id
+FLAGS = {"n_grid": "--n", "replications": "--reps", "seed": "--seed", "model": "--model",
+         "k_grid": "--k", "t_grid": "--t", "d_max": "--dmax", "eps": "--eps",
+         "workers": "--workers"}
+GRIDS = {"n_grid": int, "k_grid": int, "t_grid": float}  # comma-separated on the command line
+
+
+def _flag_text(field: str, value) -> str:
+    """A setting as its flag takes it, e.g. ``--reps 0`` or ``--k 1,2``."""
+    return f"{FLAGS[field]} " + (",".join(map(str, value)) if field in GRIDS else str(value))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid, replication and worker settings for one experiment run."""
+    """Grid, replication and worker settings for one experiment run; building
+    one refuses any setting the experiment cannot run."""
 
     experiment: str
     n_grid: tuple[int, ...]
@@ -104,29 +116,49 @@ class ExperimentConfig:
             known = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
         object.__setattr__(self, "experiment", name)
-        for grid, kind in (("n_grid", int), ("k_grid", int), ("t_grid", float)):
+        for grid, kind in GRIDS.items():
             values = tuple(kind(x) for x in getattr(self, grid))
             if not values:
-                raise ValueError(f"--{grid[0]} grid must be nonempty")
+                raise ValueError(f"{FLAGS[grid]} grid must be nonempty")
             object.__setattr__(self, grid, values)
         if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+            raise ValueError("an experiment needs at least one replication, "
+                             f"got {_flag_text('replications', self.replications)}")
         check_seed(self.seed)
         model = GrowthModel.parse(self.model)
         object.__setattr__(self, "model", model.name.lower())
-        model.node_count(min(self.n_grid))
         if model is not GrowthModel.UNIFORM and "model" not in READS[name]:
             growers = ", ".join(e for e, fields in READS.items() if "model" in fields)
-            raise ValueError(
-                f"experiment {name!r} grows uniform trees only; model {self.model!r} "
-                f"applies to {growers}"
-            )
-        if self.d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
+            raise ValueError(f"experiment {name!r} grows uniform trees only; "
+                             f"{_flag_text('model', self.model)} applies to {growers}")
         if any(not 0.0 < t < 1.0 for t in self.t_grid):
-            raise ValueError(f"t values must lie in (0, 1), got {_flag_text('t', self.t_grid)}")
+            raise ValueError(f"t values must lie in (0, 1), got {_flag_text('t_grid', self.t_grid)}")
         if not math.isfinite(self.eps):
-            raise ValueError(f"eps must be finite, got {self.eps}")
+            raise ValueError(f"eps must be finite, got {_flag_text('eps', self.eps)}")
+        # the level references start at n = 2
+        least_n = 2 if name in ("level_exceedance", "first_level_degrees") else model.min_nodes
+        if min(self.n_grid) < least_n:
+            raise ValueError(f"experiment {name!r} needs n >= {least_n}, got {min(self.n_grid)} "
+                             f"in {_flag_text('n_grid', self.n_grid)}")
+        dmax = _flag_text("d_max", self.d_max)
+        if self.d_max < 1:
+            raise ValueError(f"the degree cap must be >= 1, got {dmax}")
+        if name == "first_level_degrees" and self.d_max > 6:
+            raise ValueError(f"this experiment caps the degree at 6, got {dmax}")
+        if (name in ("degree_distribution", "higher_level_small_degree")
+                and self.d_max > max(self.n_grid)):
+            raise ValueError(f"{dmax} exceeds the largest n={max(self.n_grid)}, "
+                             "and a degree is at most n - 1")
+        least_k = {"level_exceedance": 1, "higher_level_small_degree": 2}.get(name)
+        if least_k is not None and min(self.k_grid) < least_k:
+            raise ValueError(f"this experiment needs levels k >= {least_k}, "
+                             f"got {_flag_text('k_grid', self.k_grid)}")
+        if name == "level_sizes":
+            if min(self.k_grid) < 0:
+                raise ValueError(f"level k must be >= 0, got {min(self.k_grid)} "
+                                 f"in {_flag_text('k_grid', self.k_grid)}")
+            for n, k in itertools.product(self.n_grid, self.k_grid):
+                _level_scale(n, k)
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -167,9 +199,7 @@ class ExperimentReport:
         regardless of worker count; ``runtime_ms`` is the one field that
         legitimately varies.
         """
-        d = self.to_dict()
-        d["runtime_ms"] = 0
-        return json.dumps(d, indent=2, allow_nan=False).encode()
+        return replace(self, runtime_ms=0).to_json().encode()
 
     def to_csv(self) -> str:
         """Rows flattened to CSV; the first line carries schema and seed."""
@@ -287,12 +317,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, Optional[float]]:
     return mean, float(used.std(ddof=1) / math.sqrt(used.size))
 
 
-def _check_two_nodes(config: ExperimentConfig) -> None:
-    """Refuse n < 2 before anything is simulated: the level references start at n = 2."""
-    if min(config.n_grid) < 2:
-        raise ValueError(f"experiment {config.experiment!r} needs n >= 2, got {min(config.n_grid)}")
-
-
 def _clean(x):
     if x is None:
         return None
@@ -341,10 +365,6 @@ def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
     Rows carry the mean and SE of both the fraction and the raw exceedance
     count, plus the exact expected count where the DP oracle is in range.
     """
-    if min(config.k_grid) < 1:
-        raise ValueError(f"this experiment needs levels k >= 1, "
-                         f"got {_flag_text('k', config.k_grid)}")
-    _check_two_nodes(config)
     return _run(config, _kernel_level_exceedance, _level_exceedance_rows)
 
 
@@ -421,9 +441,6 @@ def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
     order at most 3 against the recursion values (rational up to
     ``n = 4096``, float recursion beyond, carried in ``exact_mode``).
     """
-    if config.d_max > 6:
-        raise ValueError(f"d_max is capped at 6 for this experiment, got {config.d_max}")
-    _check_two_nodes(config)
     return _run(config, _kernel_first_level_degrees, _first_level_degrees_rows)
 
 
@@ -451,17 +468,8 @@ def _degree_distribution_rows(config, n, table):
     return rows
 
 
-def _check_degree_span(config: ExperimentConfig) -> None:
-    """Refuse, before anything is simulated, a ``d_max`` past every degree the
-    grid can hold: a degree is at most ``n - 1``."""
-    if config.d_max > max(config.n_grid):
-        raise ValueError(f"d_max={config.d_max} exceeds the largest n={max(config.n_grid)}, "
-                         "and a degree is at most n - 1")
-
-
 def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
     """Empirical degree fractions per (n, d) against the model's limit law."""
-    _check_degree_span(config)
     return _run(config, _kernel_degree_distribution, _degree_distribution_rows)
 
 
@@ -501,13 +509,9 @@ def _level_sizes_rows(config, n, table):
 def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
     """Mean level sizes with exact expectations and the (ln n)^k/k! ratio.
 
-    Negative levels, and levels whose (ln n)^k/k! is no normal double, are
-    refused before anything is simulated.
+    The config refuses negative levels, and levels whose (ln n)^k/k! is no
+    normal double.
     """
-    if min(config.k_grid) < 0:
-        raise ValueError(f"level k must be >= 0, got {min(config.k_grid)}")
-    for n, k in itertools.product(config.n_grid, config.k_grid):
-        _level_scale(n, k)
     return _run(config, _kernel_level_sizes, _level_sizes_rows)
 
 
@@ -575,10 +579,6 @@ def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
     ``k / ln n``, since E|L_{k-1}| / E|L_k| ~ k / ln n; rows carry both, the
     proportion scaled by ``ln n / k``, so their limits read 1.
     """
-    if min(config.k_grid) < 2:
-        raise ValueError(f"this experiment needs levels k >= 2, "
-                         f"got {_flag_text('k', config.k_grid)}")
-    _check_degree_span(config)
     return _run(config, _kernel_higher_level, _higher_level_rows)
 
 

@@ -156,7 +156,9 @@ def streamed_level_sizes(n: int, seed: int, top: int) -> np.ndarray:
     sizes[0] = 1
     cap = max(top, 1)
     for _, _, up in _uniform_levels(n, seed, cap):
-        # up to _MARK_CAP few of a block's nodes have a parent below the cap; past it most do
+        # up to _MARK_CAP few of a block's nodes have a parent below the cap; past it most do,
+        # and filtering there anyway made _kernel_level_sizes at n = 10^6, k_grid (0, 10),
+        # 4-16 % slower (CPU medians of 20 alternating rounds, 6 runs, 2 vCPU)
         low = up if cap > _MARK_CAP else up[up < top]
         sizes[1:] += np.bincount(low, minlength=top)[:top]  # parent level k - 1 counts for k
     return sizes

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import struct
 import time
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from urtlab.cli import cli_main
+from urtlab.cli import build_parser, cli_main
 from urtlab import experiments, moments, stats
 from urtlab import tree as tree_module
 from urtlab.bijection import fixed_points_after_first, tree_to_permutation
@@ -675,14 +677,48 @@ def test_experiment_refuses_an_empty_grid(capsys, flag):
     (["level_exceedance", "--k=-1,2"], "this experiment needs levels k >= 1, got --k -1,2"),
     (["level_exceedance", "--t", "0.5,1.5"], "t values must lie in (0, 1), got --t 0.5,1.5"),
     (["level_exceedance", "--k", ""], "--k grid must be nonempty"),
-    (["first_level_degrees", "--dmax", "0"], "d_max must be >= 1, got 0"),
+    (["first_level_degrees", "--dmax", "0"], "the degree cap must be >= 1, got --dmax 0"),
+    (["max_degree", "--reps", "0"], "an experiment needs at least one replication, got --reps 0"),
+    (["first_level_degrees", "--dmax", "7"], "this experiment caps the degree at 6, got --dmax 7"),
+    (["degree_distribution", "--n", "10", "--dmax", "11"],
+     "--dmax 11 exceeds the largest n=10, and a degree is at most n - 1"),
+    (["tail_vs_bound", "--eps", "nan"], "eps must be finite, got --eps nan"),
+    (["level_exceedance", "--k", "0"], "this experiment needs levels k >= 1, got --k 0"),
+    (["level_sizes", "--k=-1"], "level k must be >= 0, got -1 in --k -1"),
+    (["level_sizes", "--n", "100", "--k", "100000000"],
+     "level k=100000000 at n=100: (ln n)^k/k! does not fit a normal double, "
+     "so no ratio to it can be formed"),
+    (["level_exceedance", "--n", "100000,1"],
+     "experiment 'level_exceedance' needs n >= 2, got 1 in --n 100000,1"),
+    (["max_degree", "--model", "preferential"],
+     "experiment 'max_degree' grows uniform trees only; --model preferential applies to "
+     "degree_distribution"),
 ])
-def test_experiment_refusals_give_the_flag_as_typed(capsys, argv, line):
-    """Refusals printed the grids as Python tuples, without the flag."""
-    code, out, err = run_cli(capsys, "experiment", *argv, "--n", "50", "--reps", "2",
-                             "--seed", "1", "--workers", "1")
-    assert code == 1 and out == ""
-    assert err.count("error:") == 1 and f"error: {line}\n" in err
+def test_experiment_refusals_give_the_flag_as_typed(capsys, monkeypatch, argv, line):
+    """Refusals printed the grids as Python tuples, and config fields in
+    place of flags; the runners refused after the echo.  Every refusal is
+    now the one stderr line: no echo, no pool, no kernel call."""
+    calls = []
+    for name in [name for name in vars(experiments) if name.startswith("_kernel_")]:
+        monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "_degree_law_sums", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "get_context", lambda: calls.append("pool"))
+    code, out, err = run_cli(capsys, "experiment", "--n", "50", "--reps", "4", "--seed", "1",
+                             "--workers", "2", *argv)
+    assert code == 1 and out == "" and calls == []
+    assert err == f"error: {line}\n"
+
+
+def test_experiment_flags_are_the_config_settings():
+    """``FLAGS`` names a flag for every config field but the experiment, and
+    the ``experiment`` command takes those flags and its own two."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {flag for action in commands.choices["experiment"]._actions
+             for flag in action.option_strings}
+    assert flags == set(experiments.FLAGS.values()) | {"-h", "--help", "--out", "--format"}
+    fields = {field.name for field in dataclasses.fields(experiments.ExperimentConfig)}
+    assert set(experiments.FLAGS) == fields - {"experiment"}
 
 
 def test_experiment_invalid_grid(capsys):

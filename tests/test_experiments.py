@@ -343,8 +343,8 @@ def test_streamed_kernels_match_grown_trees_across_block_edges(n):
         assert np.array_equal(experiments._kernel_level_exceedance(config, n, seed), exceedance,
                               equal_nan=True)
         assert experiments._kernel_first_level_degrees(config, n, seed) == tuple(first)
-        assert experiments._kernel_level_sizes(
-            small_config(k_grid=(0,) + STREAM_KS), n, seed) == tuple(by_level)
+        sizes_config = small_config(experiment="level_sizes", k_grid=(0,) + STREAM_KS)
+        assert experiments._kernel_level_sizes(sizes_config, n, seed) == tuple(by_level)
         assert experiments._kernel_higher_level(
             small_config(k_grid=STREAM_KS[1:], d_max=STREAM_DMAX), n, seed) == tuple(higher)
 
@@ -352,7 +352,7 @@ def test_streamed_kernels_match_grown_trees_across_block_edges(n):
 @pytest.mark.parametrize("kernel, cfg", [
     ("_kernel_first_level_degrees", dict(d_max=6)),
     ("_kernel_level_exceedance", dict(k_grid=(2,), t_grid=(0.5,))),
-    ("_kernel_level_sizes", dict(k_grid=(0, 1, 9))),
+    ("_kernel_level_sizes", dict(experiment="level_sizes", k_grid=(0, 1, 9))),
     ("_kernel_higher_level", dict(k_grid=(2, 3), d_max=6)),
 ])
 def test_streamed_kernels_hold_no_length_n_int64_array(kernel, cfg):
