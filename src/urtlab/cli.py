@@ -5,9 +5,10 @@ Subcommands: ``generate``, ``stats``, ``bijection``, ``moments``,
 configuration (and master seed, where one applies) to stderr so any output
 can be reproduced from the printed line alone.  Exit codes: 0 success,
 1 invalid arguments, 2 resource-guard violations; a refusal is one
-``error:`` line on stderr.  ``experiment`` makes every refusal of its
-settings before its echo, and names a setting by the flag and the value as
-typed, e.g. ``--reps 0`` or ``--k 1,2``.
+``error:`` line on stderr.  ``stats``, ``enumerate`` and ``experiment``
+refuse a level, threshold or other setting they cannot run before their
+echo; ``experiment`` names a setting by the flag and the value as typed,
+e.g. ``--reps 0`` or ``--k 1,2``.
 
 ``_emit`` writes every text result, once the command has computed it: to
 the ``--out`` file where the command takes one and it is given, otherwise to
@@ -30,7 +31,8 @@ from .errors import ResourceGuardError
 from .experiments import (EXPERIMENT_ALIASES, EXPERIMENTS, FLAGS, GRIDS, ExperimentConfig,
                           run_experiment, run_workers)
 from .moments import MomentTable, exact_factorial_moment, fraction_text
-from .stats import degree_counts_in_level, degree_histogram, high_degree_fraction, level_sizes, max_degree
+from .stats import (degree_counts_in_level, degree_histogram, exceedance_threshold,
+                    high_degree_fraction, level_sizes, max_degree)
 from .tree import grow, grow_from_sequence, load_tree, save_tree
 
 
@@ -86,7 +88,13 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     if args.t is not None and args.k is None:
         raise ValueError("--t needs --k: exceedance fractions are taken per level")
+    ks = [] if args.k is None else _values(args.k, int)
+    ts = [] if args.t is None else _values(args.t, float)
+    if ks and min(ks) < 0:
+        raise ValueError(f"level k must be >= 0, got {min(ks)}")
     tree = _load_input_tree(args)
+    for t in ts:
+        exceedance_threshold(tree.n, t)  # refuses a t outside (0, 1)
     model = tree.model.name.lower()
     _echo("stats", {"in": args.infile, "model": model, "n": tree.n, "seed": tree.seed,
                     "k": args.k, "t": args.t, "out": args.out})
@@ -101,10 +109,8 @@ def _cmd_stats(args) -> int:
     if tree.n >= 2:
         payload["max_degree"] = max_degree(tree)
     if args.k is not None:
-        ks = _values(args.k, int)
         payload["level_profiles"] = [degree_counts_in_level(tree, k).to_dict() for k in ks]
         if args.t is not None:
-            ts = _values(args.t, float)
             payload["exceedance_fractions"] = [
                 {"k": k, "t": t, "fraction": high_degree_fraction(tree, k, t)}
                 for k in ks
@@ -154,6 +160,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = _given(args, {"d": "--d", "k": "--k", "t": "--t"})
+    oracle.checked_statistic(args.n, args.statistic, **params)
     _echo("enumerate", {"n": args.n, "statistic": args.statistic, **params, "out": args.out})
     dist = oracle.exact_statistic_distribution(args.n, args.statistic, **params)
     payload = dist.to_dict()

@@ -10,7 +10,9 @@ the worker count changes wall time only.
 
 :class:`ExperimentConfig` refuses every setting an experiment cannot run
 when it is built, and names each by its command-line flag (:data:`FLAGS`),
-so no run that starts refuses its settings.
+so no run that starts refuses its settings.  It checks the ranges of t,
+eps, ``d_max`` and k only where the experiment reads them (:data:`READS`):
+a setting it never reads changes nothing in the report.
 
 Each of the seven runners is one call of :func:`_run`, naming a picklable
 per-replication kernel of ``(config, n, seed)``, which reads its settings
@@ -116,6 +118,7 @@ class ExperimentConfig:
             known = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
         object.__setattr__(self, "experiment", name)
+        reads = READS[name]  # the ranges of t, eps, d_max and k are checked where read
         for grid, kind in GRIDS.items():
             values = tuple(kind(x) for x in getattr(self, grid))
             if not values:
@@ -127,13 +130,13 @@ class ExperimentConfig:
         check_seed(self.seed)
         model = GrowthModel.parse(self.model)
         object.__setattr__(self, "model", model.name.lower())
-        if model is not GrowthModel.UNIFORM and "model" not in READS[name]:
+        if model is not GrowthModel.UNIFORM and "model" not in reads:
             growers = ", ".join(e for e, fields in READS.items() if "model" in fields)
             raise ValueError(f"experiment {name!r} grows uniform trees only; "
                              f"{_flag_text('model', self.model)} applies to {growers}")
-        if any(not 0.0 < t < 1.0 for t in self.t_grid):
+        if "t_grid" in reads and any(not 0.0 < t < 1.0 for t in self.t_grid):
             raise ValueError(f"t values must lie in (0, 1), got {_flag_text('t_grid', self.t_grid)}")
-        if not math.isfinite(self.eps):
+        if "eps" in reads and not math.isfinite(self.eps):
             raise ValueError(f"eps must be finite, got {_flag_text('eps', self.eps)}")
         # the level references start at n = 2
         least_n = 2 if name in ("level_exceedance", "first_level_degrees") else model.min_nodes
@@ -141,7 +144,7 @@ class ExperimentConfig:
             raise ValueError(f"experiment {name!r} needs n >= {least_n}, got {min(self.n_grid)} "
                              f"in {_flag_text('n_grid', self.n_grid)}")
         dmax = _flag_text("d_max", self.d_max)
-        if self.d_max < 1:
+        if "d_max" in reads and self.d_max < 1:
             raise ValueError(f"the degree cap must be >= 1, got {dmax}")
         if name == "first_level_degrees" and self.d_max > 6:
             raise ValueError(f"this experiment caps the degree at 6, got {dmax}")

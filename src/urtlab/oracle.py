@@ -1,7 +1,13 @@
 """Ground-truth engines independent of the Monte Carlo paths.
 
 * Exhaustive enumeration of all ``(n-1)!`` attachment sequences for small
-  ``n`` gives exact rational laws of any registered tree statistic.
+  ``n`` gives exact rational laws of any registered tree statistic.  The
+  sequences come as arrays of ``_ENUMERATION_CHUNK`` rows in one order
+  (:func:`_sequence_chunks`); :func:`enumerate_trees` grows a tree per row,
+  while the joint law of the first-level degree counts, the check on
+  :mod:`urtlab.moments`, is counted from the arrays in one pass that builds
+  no tree and shares no code with :mod:`urtlab.stats`, in under 3 MiB at
+  any ``n`` up to :data:`ENUMERATION_MAX_NODES`.
 * Single-node laws at medium ``n`` are coefficients of one truncated
   product.  With ``prod_l (1 + w_l z) = sum_m e_m(w) z^m`` (elementary
   symmetric functions) and ``1 - 1/j + z/j = ((j-1)/j) (1 + z/(j-1))``:
@@ -23,18 +29,20 @@
   :func:`degree_tail` and :func:`degree_head` keep them per ``(n, i)`` and
   precision (:func:`_node_terms`): the first call pays one pass, later ones
   a sum of held terms, with every value bit for bit that of a fresh pass.
+  Likewise :func:`expected_exceedance_count` keeps the tails of its last
+  few ``(n, threshold)`` pairs, so every level ``k`` at one threshold
+  shares one :func:`child_count_tails` pass.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -49,6 +57,37 @@ RATIONAL_DP_MAX_NODES = 64  # exact rational DP guard
 DEGREE_TAIL_MAX_WORK = 10**8  # weights x coefficient rows in one pass, and a node memo's rows
 _TAIL_BLOCK = 1 << 14  # weights per block of that pass
 _TOTAL_BLOCK = 4096  # weights per block of _truncated_total
+_ENUMERATION_CHUNK = 1 << 13  # attachment sequences per array of the enumeration
+
+
+def _enumeration_nodes(n: int) -> int:
+    """``n`` as an int, refused below 2 nodes and past the enumeration guard."""
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"enumeration needs n >= 2 nodes, got {n}")
+    if n > ENUMERATION_MAX_NODES:
+        raise ResourceGuardError(
+            f"enumeration is guarded to n <= {ENUMERATION_MAX_NODES}, got {n}"
+        )
+    return n
+
+
+def _sequence_chunks(n: int) -> Iterator[np.ndarray]:
+    """Every attachment sequence on ``n`` nodes, ``_ENUMERATION_CHUNK`` rows at a time.
+
+    Row ``s`` (counting across chunks) is sequence ``s`` in lexicographic
+    (mixed-radix) order: entry ``i-1``, node ``i``'s parent, is the digit of
+    radix ``i`` of ``s``, and node ``n-1``'s digit runs fastest.  Each chunk
+    is a fresh ``(rows, n-1)`` int64 array.
+    """
+    n = _enumeration_nodes(n)
+    total = math.factorial(n - 1)
+    for start in range(0, total, _ENUMERATION_CHUNK):
+        index = np.arange(start, min(start + _ENUMERATION_CHUNK, total))
+        rows = np.empty((index.size, n - 1), dtype=np.int64)
+        for i in range(n - 1, 0, -1):
+            index, rows[:, i - 1] = np.divmod(index, i)
+        yield rows
 
 
 def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
@@ -58,15 +97,9 @@ def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
     for node ``i`` runs over ``0..i-1``.  Each tree occurs exactly once and
     carries probability ``1/(n-1)!`` under uniform growth.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"enumeration needs n >= 2 nodes, got {n}")
-    if n > ENUMERATION_MAX_NODES:
-        raise ResourceGuardError(
-            f"enumeration is guarded to n <= {ENUMERATION_MAX_NODES}, got {n}"
-        )
-    for seq in itertools.product(*(range(i) for i in range(1, n))):
-        yield grow_from_sequence(seq)
+    for rows in _sequence_chunks(n):
+        for seq in rows.tolist():
+            yield grow_from_sequence(seq)
 
 
 def tree_count(n: int) -> int:
@@ -125,13 +158,10 @@ STATISTICS = {
 }
 
 
-def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistribution:
-    """Exact law of a registered statistic via full enumeration.
-
-    Registered statistics: ``level_degree_count`` (params ``d``, optional
-    ``k``), ``exceedance_count`` (``k``, ``t``), ``level_size`` (``k``),
-    ``max_degree``, ``fixed_points``.  A negative level ``k`` is refused.
-    """
+def checked_statistic(n: int, statistic: str, **params) -> Callable:
+    """The function of a registered statistic, once ``n`` and ``params`` pass
+    every check :func:`exact_statistic_distribution` makes before it enumerates."""
+    _enumeration_nodes(n)
     try:
         fn = STATISTICS[statistic]
     except KeyError:
@@ -143,6 +173,20 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
         raise ValueError(f"statistic {statistic!r}: {exc}") from None
     if params.get("k", 0) < 0:
         raise ValueError(f"statistic {statistic!r}: level k must be >= 0, got {params['k']}")
+    if not 0.0 < params.get("t", 0.5) < 1.0:
+        raise ValueError(f"statistic {statistic!r}: t must lie in (0, 1), got {params['t']}")
+    return fn
+
+
+def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistribution:
+    """Exact law of a registered statistic via full enumeration.
+
+    Registered statistics: ``level_degree_count`` (params ``d``, optional
+    ``k``), ``exceedance_count`` (``k``, ``t``), ``level_size`` (``k``),
+    ``max_degree``, ``fixed_points``.  A negative level ``k``, or a ``t``
+    outside (0, 1), is refused before anything is enumerated.
+    """
+    fn = checked_statistic(n, statistic, **params)
     counts: dict[int, int] = {}
     total = 0
     for tree in enumerate_trees(n):
@@ -163,15 +207,32 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
 def _first_level_count_law(n: int) -> tuple:
     """Joint law of the first-level degree counts on ``n`` nodes, by enumeration.
 
-    Each entry pairs one value of the counts, as sorted ``(d, X_d)`` pairs,
-    with the number of attachment sequences that produce it; the numbers sum
-    to ``(n-1)!``.
+    Each entry pairs one value of the counts, as sorted ``(d, X_d)`` pairs
+    with ``X_d > 0``, with the number of attachment sequences that produce
+    it; the numbers sum to ``(n-1)!``.  One array pass over
+    :func:`_sequence_chunks` builds no tree: a level-1 node is one whose
+    parent is 0, and its degree is one more than its child count, which one
+    offset ``bincount`` gives for every node of a chunk.  Every ``X_d`` is
+    below ``n``, so a sequence's counts are the base-``n`` digits of one
+    int64 code, the sum of ``n^c`` over its level-1 nodes with ``c``
+    children, and the law is a count of codes.  A chunk's arrays take about
+    0.35 KB a row at ``n = 11`` (a tracemalloc peak of 2.7 MiB), so the pass
+    stays under 3 MiB at any ``n`` the guard admits.
     """
-    law = Counter(
-        tuple(sorted(degree_counts_in_level(tree, 1).counts.items()))
-        for tree in enumerate_trees(n)
-    )
-    return tuple(law.items())
+    # n^c for a level-1 node with c <= n - 2 children, and 0 at n - 1 for any other node
+    power = np.append(n ** np.arange(n - 1, dtype=np.int64), 0)
+    codes: Counter = Counter()
+    for rows in _sequence_chunks(n):
+        size = rows.shape[0]
+        kids = np.bincount((rows + n * np.arange(size)[:, None]).ravel(),  # row r's parents + r*n
+                           minlength=size * n).reshape(size, n)[:, 1:]
+        kids[rows != 0] = n - 1
+        codes.update(power[kids].sum(axis=1).tolist())  # np.unique's sort maps 0.4 MiB of code
+    law = []
+    for code, times in sorted(codes.items()):
+        digits = [code // n**c % n for c in range(n - 1)]  # X_1 .. X_{n-1}
+        law.append((tuple((c + 1, x) for c, x in enumerate(digits) if x), times))
+    return tuple(law)
 
 
 def enumeration_moment(n: int, k: VectorLike) -> Fraction:
@@ -179,9 +240,10 @@ def enumeration_moment(n: int, k: VectorLike) -> Fraction:
 
     Averages ``prod_d (X_d)_{k_d}`` over every attachment sequence, where
     ``X_d`` counts level-1 nodes of degree ``d``.  This is the independent
-    check for the recursion-based values in :mod:`urtlab.moments`.  The trees
-    are enumerated once per ``n``; every exponent vector reduces over the
-    tabulated joint law of the counts.
+    check for the recursion-based values in :mod:`urtlab.moments`.  The
+    sequences are counted once per ``n``, in one array pass that builds no
+    tree and holds under 3 MiB (:func:`_first_level_count_law`); every
+    exponent vector reduces over the tabulated joint law of the counts.
     """
     vec = ExponentVector.of(k)
     total = 0
@@ -492,6 +554,15 @@ def node_level_probabilities(n: int, k: int) -> np.ndarray:
     return row / np.arange(1, n)
 
 
+@lru_cache(maxsize=4)  # levels k = 1, 2, .. at a grid of up to four t share each pass
+def _exceedance_tails(n: int, threshold: float) -> np.ndarray:
+    """:func:`child_count_tails`, read-only, kept for the last few calls: at
+    most four length-``n`` arrays, about what one pass holds while it runs."""
+    tails = child_count_tails(n, threshold)
+    tails.flags.writeable = False
+    return tails
+
+
 def expected_exceedance_count(n: int, k: int, t: float) -> float:
     """Exact expectation of the number of level-``k`` nodes with degree
     above ``t * ln(n)`` in an ``n``-node tree.
@@ -503,7 +574,10 @@ def expected_exceedance_count(n: int, k: int, t: float) -> float:
         sum_{i>=1} P(level(i) = k) * P(X_i > t*ln(n) - 1).
 
     Double precision throughout; both factors are sums of positive
-    truncated-product coefficients, accurate to rounding.
+    truncated-product coefficients, accurate to rounding.  The tails of one
+    threshold serve every ``k``: one :func:`child_count_tails` pass per
+    ``(n, t)`` among the last four, each value bit for bit that of a fresh
+    pass.
     """
     n = int(n)
     if n < 2:
@@ -511,6 +585,6 @@ def expected_exceedance_count(n: int, k: int, t: float) -> float:
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     threshold = exceedance_threshold(n, t) - 1.0  # degree > t ln n  <=>  children > t ln n - 1
-    tails = child_count_tails(n, threshold)
+    tails = _exceedance_tails(n, threshold)
     levels = node_level_probabilities(n, k)
     return float(np.dot(levels, tails))

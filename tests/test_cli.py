@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import struct
 import time
 import tracemalloc
@@ -750,6 +751,37 @@ def test_enumerate_refuses_a_negative_level(capsys, monkeypatch, params):
     assert code == 1 and out == "" and calls == []
     assert err.count("error:") == 1 and "Traceback" not in err
     assert "level k must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["stats", "--n", "10", "--seed", "1", "--k=-1"], 1, "level k must be >= 0, got -1"),
+    (["stats", "--n", "10", "--seed", "1", "--k", "1", "--t", "1.5"], 1,
+     "t must lie in (0, 1), got 1.5"),
+    (["enumerate", "--n", "4", "--statistic", "level_size", "--k=-1"], 1,
+     "statistic 'level_size': level k must be >= 0, got -1"),
+    (["enumerate", "--n", "4", "--statistic", "max_degree", "--k", "1"], 1,
+     "statistic 'max_degree': got an unexpected keyword argument 'k'"),
+    (["enumerate", "--n", "4", "--statistic", "exceedance_count", "--k", "1", "--t", "1.5"], 1,
+     "statistic 'exceedance_count': t must lie in (0, 1), got 1.5"),
+    (["enumerate", "--n", "12"], 2, "enumeration is guarded to n <= 11, got 12"),
+])
+def test_stats_and_enumerate_refuse_before_the_echo(capsys, argv, code, line):
+    """Both echoed their settings and then refused a level or threshold."""
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out, err) == (code, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("flag", ["--t=1.5", "--k=-5", "--dmax=0", "--eps=nan"])
+def test_experiment_leaves_settings_it_never_reads_unchecked(capsys, flag):
+    """max_degree reads neither t nor k: it refused --t 1.5 and ran with --k -5."""
+    argv = ["experiment", "max_degree", "--n", "50", "--reps", "2", "--seed", "1",
+            "--workers", "1"]
+    reports = []
+    for extra in ([], [flag]):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        reports.append(re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out))
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("argv", [

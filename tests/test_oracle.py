@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from urtlab import (
 from urtlab import oracle
 from urtlab.oracle import child_count_tails, node_level_probabilities, tree_count
 from urtlab.rng import derive_seed
-from urtlab.stats import exceedance_count
+from urtlab.stats import degree_counts_in_level, exceedance_count
 
 
 def test_enumeration_counts():
@@ -609,18 +611,111 @@ def test_degree_tails_at_a_million_against_grown_trees():
 
 
 def test_enumeration_moment_enumerates_once_per_n(monkeypatch):
-    grown = []
-    original = oracle.grow_from_sequence
+    """One array pass over the sequences per n serves every exponent vector,
+    and it grows no tree."""
+    passes = []
+    chunks = oracle._sequence_chunks
 
-    def counting(seq, *args):
-        grown.append(1)
-        return original(seq, *args)
+    def counting(n):
+        passes.append(n)
+        return chunks(n)
 
-    monkeypatch.setattr(oracle, "grow_from_sequence", counting)
+    def refuse(seq, *args):
+        raise AssertionError("the law grew a tree")
+
+    monkeypatch.setattr(oracle, "_sequence_chunks", counting)
+    monkeypatch.setattr(oracle, "grow_from_sequence", refuse)
     oracle._first_level_count_law.cache_clear()
     try:
-        values = [enumeration_moment(6, v) for v in ((1,), (0, 1), (2, 1), (0, 0, 3))]
+        values = [enumeration_moment(n, v)
+                  for n in (6, 5) for v in ((1,), (0, 1), (2, 1), (0, 0, 3))]
     finally:
         oracle._first_level_count_law.cache_clear()
-    assert len(grown) == tree_count(6)
-    assert values[0] == 1
+    assert passes == [6, 5]
+    assert values[0] == values[4] == 1
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_first_level_count_law_equals_the_per_tree_law(n):
+    """The array pass counts what one degree profile per grown tree counts,
+    as exact integers; n = 9 spans five chunks."""
+    oracle._first_level_count_law.cache_clear()
+    law = oracle._first_level_count_law(n)
+    per_tree = Counter(tuple(sorted(degree_counts_in_level(tree, 1).counts.items()))
+                       for tree in enumerate_trees(n))
+    assert dict(law) == per_tree
+    assert len(law) == len(per_tree) and sum(times for _, times in law) == tree_count(n)
+
+
+def test_enumeration_order_holds_across_chunks(monkeypatch):
+    """Chunks of 7 rows cut the sequences mid-digit; the trees still come in
+    lexicographic order, and the law is the one counted in one chunk."""
+    whole = oracle._first_level_count_law(6)
+    monkeypatch.setattr(oracle, "_ENUMERATION_CHUNK", 7)
+    oracle._first_level_count_law.cache_clear()
+    try:
+        assert oracle._first_level_count_law(6) == whole
+    finally:
+        oracle._first_level_count_law.cache_clear()
+    seqs = [tuple(tree.parent_sequence().tolist()) for tree in enumerate_trees(6)]
+    assert seqs == list(itertools.product(*(range(i) for i in range(1, 6))))
+
+
+def test_first_level_count_law_holds_its_memory_bound(monkeypatch):
+    """The module docstring's bound, 3 MiB, at n = 10 (362,880 sequences);
+    n = 11 runs through chunks of the same size."""
+    oracle._first_level_count_law.cache_clear()
+    tracemalloc.start()
+    try:
+        law = oracle._first_level_count_law(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        oracle._first_level_count_law.cache_clear()
+    assert peak < 3 * 2**20, peak
+    assert sum(times for _, times in law) == tree_count(10)
+    sizes = []
+    chunks = oracle._sequence_chunks
+
+    def sized(n):
+        for rows in chunks(n):
+            sizes.append(rows.shape)
+            yield rows
+
+    monkeypatch.setattr(oracle, "_sequence_chunks", sized)
+    try:
+        law = oracle._first_level_count_law(11)
+    finally:
+        oracle._first_level_count_law.cache_clear()
+    assert sum(times for _, times in law) == tree_count(11) == sum(rows for rows, _ in sizes)
+    assert {shape for shape in sizes[:-1]} == {(oracle._ENUMERATION_CHUNK, 10)}
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.7])
+def test_exceedance_levels_share_one_tails_pass(monkeypatch, t):
+    """Levels 1 and 2 at one threshold run one tails pass; each value equals,
+    bit for bit, a call with the memo cleared and the reverse call order."""
+    passes = []
+    sums = oracle._degree_law_sums
+
+    def counting(*args, **kwargs):
+        passes.append(args[:3])
+        return sums(*args, **kwargs)
+
+    def fresh(k):
+        oracle._exceedance_tails.cache_clear()
+        return expected_exceedance_count(2000, k, t)
+
+    monkeypatch.setattr(oracle, "_degree_law_sums", counting)
+    try:
+        alone = {k: fresh(k) for k in (1, 2)}
+        oracle._exceedance_tails.cache_clear()
+        passes.clear()
+        shared = {k: expected_exceedance_count(2000, k, t) for k in (1, 2)}
+        assert len(passes) == 1
+        oracle._exceedance_tails.cache_clear()
+        reverse = {k: expected_exceedance_count(2000, k, t) for k in (2, 1)}
+        assert len(passes) == 2
+    finally:
+        oracle._exceedance_tails.cache_clear()
+    assert shared == alone == reverse
