@@ -18,7 +18,6 @@ from .bounds import (
     lower_tail_bound,
     tail_bound_high_index,
     tail_bound_low_index,
-    tail_bound_pair,
     upper_tail_bound,
 )
 from .errors import EmptyLevelError, NotInImageError, ResourceGuardError
@@ -41,7 +40,6 @@ from .moments import (
 )
 from .oracle import (
     ExactDistribution,
-    LevelDistribution,
     degree_head,
     degree_tail,
     enumerate_trees,
@@ -85,7 +83,6 @@ __all__ = [
     "GrowthModel",
     "IdentityCheck",
     "LevelDegreeProfile",
-    "LevelDistribution",
     "MomentTable",
     "NotInImageError",
     "Permutation",
@@ -124,7 +121,6 @@ __all__ = [
     "save_tree",
     "tail_bound_high_index",
     "tail_bound_low_index",
-    "tail_bound_pair",
     "tree_to_permutation",
     "upper_tail_bound",
     "validate",

@@ -119,7 +119,3 @@ def tail_bound_low_index(n: int, t: float, eps: float) -> float:
         raise ValueError(f"low-index bound needs 0 < eps < 1 - t, got t={t}, eps={eps}")
     return math.exp(-(eps**2) / (2.0 * (t + eps)) * math.log(n))
 
-
-def tail_bound_pair(n: int, t: float, eps: float) -> tuple[float, float]:
-    """Both closed-form bounds, (high-index, low-index), for one (n, t, eps)."""
-    return tail_bound_high_index(n, t, eps), tail_bound_low_index(n, t, eps)

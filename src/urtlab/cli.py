@@ -27,12 +27,12 @@ import sys
 from . import bounds as bnd
 from . import oracle
 from .bijection import Permutation, fixed_points_after_first, permutation_to_tree, tree_to_permutation
-from .errors import ResourceGuardError
+from .errors import EmptyLevelError, ResourceGuardError
 from .experiments import (EXPERIMENT_ALIASES, EXPERIMENTS, FLAGS, GRIDS, ExperimentConfig,
                           run_experiment, run_workers)
 from .moments import MomentTable, exact_factorial_moment, fraction_text
 from .stats import (degree_counts_in_level, degree_histogram, exceedance_threshold,
-                    high_degree_fraction, level_sizes, max_degree)
+                    level_sizes, max_degree)
 from .tree import grow, grow_from_sequence, load_tree, save_tree
 
 
@@ -93,8 +93,11 @@ def _cmd_stats(args) -> int:
     if ks and min(ks) < 0:
         raise ValueError(f"level k must be >= 0, got {min(ks)}")
     tree = _load_input_tree(args)
-    for t in ts:
-        exceedance_threshold(tree.n, t)  # refuses a t outside (0, 1)
+    thresholds = [exceedance_threshold(tree.n, t) for t in ts]  # refuses a t outside (0, 1)
+    profiles = [degree_counts_in_level(tree, k) for k in ks]
+    empty = [p.k for p in profiles if p.level_size == 0]
+    if thresholds and empty:
+        raise EmptyLevelError(f"level {empty[0]} is empty (n={tree.n})")
     model = tree.model.name.lower()
     _echo("stats", {"in": args.infile, "model": model, "n": tree.n, "seed": tree.seed,
                     "k": args.k, "t": args.t, "out": args.out})
@@ -109,12 +112,12 @@ def _cmd_stats(args) -> int:
     if tree.n >= 2:
         payload["max_degree"] = max_degree(tree)
     if args.k is not None:
-        payload["level_profiles"] = [degree_counts_in_level(tree, k).to_dict() for k in ks]
+        payload["level_profiles"] = [p.to_dict() for p in profiles]
         if args.t is not None:
             payload["exceedance_fractions"] = [
-                {"k": k, "t": t, "fraction": high_degree_fraction(tree, k, t)}
-                for k in ks
-                for t in ts
+                {"k": p.k, "t": t, "fraction": p.exceeding(threshold) / p.level_size}
+                for p in profiles
+                for t, threshold in zip(ts, thresholds)
             ]
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
@@ -195,9 +198,8 @@ def _cmd_bounds(args) -> int:
             payload["exact_tail_geq_a"] = float(oracle.degree_tail(args.i, args.n, strict_below))
             payload["exact_tail_leq_a"] = float(oracle.degree_head(args.i, args.n, a))
     if args.t is not None:
-        high, low = bnd.tail_bound_pair(args.n, args.t, args.eps)
-        payload["high_index_bound"] = high
-        payload["low_index_bound"] = low
+        payload["high_index_bound"] = bnd.tail_bound_high_index(args.n, args.t, args.eps)
+        payload["low_index_bound"] = bnd.tail_bound_low_index(args.n, args.t, args.eps)
     if not payload:
         raise ValueError("nothing to compute: provide --i/--n [--a] and/or --t/--eps/--n")
     _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)

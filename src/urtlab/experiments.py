@@ -352,7 +352,7 @@ def _level_exceedance_rows(config, n, table):
         if n <= EXACT_NUMERATOR_MAX_N:
             exact_numerator = float(oracle.expected_exceedance_count(n, k, t))
             exact_level_size = float(oracle.expected_level_size(n, k, exact=False))
-        # the fraction has no closed-form finite-n expectation: exact stays None
+        # exact stays None: no engine computes the fraction's finite-n expectation yet
         rows.append(_row(
             {"n": n, "k": k, "t": t}, frac_mean, frac_se, limit=(1.0 - t) ** k,
             numerator_mean=_clean(num_mean), numerator_se=_clean(num_se),
@@ -530,11 +530,9 @@ def _max_degree_rows(config, n, table):
     log2n = math.log2(n) if n > 1 else 1.0
     ratios = table[:, 0] / log2n
     mean, se = _mean_se(ratios)
-    harmonic = sum(1.0 / j for j in range(1, n + 1))
-    # root_degree_sanity is recorded, never asserted
     return [_row({"n": n}, np.median(ratios), se, limit=1.0, mean_ratio=_clean(mean),
                  min_ratio=_clean(ratios.min()), q10_ratio=_clean(np.quantile(ratios, 0.10)),
-                 q90_ratio=_clean(np.quantile(ratios, 0.90)), root_degree_sanity=harmonic / log2n)]
+                 q90_ratio=_clean(np.quantile(ratios, 0.90)))]
 
 
 def run_max_degree(config: ExperimentConfig) -> ExperimentReport:

@@ -259,29 +259,6 @@ def enumeration_moment(n: int, k: VectorLike) -> Fraction:
     return Fraction(total, count)
 
 
-@dataclass(frozen=True)
-class LevelDistribution:
-    """Marginal law of one node's level under uniform growth.
-
-    ``probs[k]`` is ``P(level(node) = k)`` for ``k = 0..kmax``; entries are
-    :class:`fractions.Fraction` when ``exact`` else floats.  The mass sums
-    to 1 whenever ``kmax`` is large enough to cover the support.
-    """
-
-    node: int
-    probs: tuple
-    exact: bool
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __getitem__(self, k: int):
-        return self.probs[k]
-
-    def __iter__(self):
-        return iter(self.probs)
-
-
 def _truncated_product(w: np.ndarray, order: int, start=None) -> Iterator[np.ndarray]:
     """Rows ``m = 0..order`` of the prefix elementary symmetric functions of ``w``.
 
@@ -316,12 +293,14 @@ def _truncated_total(lo: int, hi: int, dtype, order: int) -> list:
     return e
 
 
-def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> LevelDistribution:
-    """Distribution of node ``i``'s level, truncated at ``kmax``.
+def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> tuple:
+    """``P(level(i) = k)`` for ``k = 0..kmax``: node ``i``'s level law under
+    uniform growth, truncated at ``kmax``.
 
     ``P(level(i) = k) = e_{k-1}(1, 1/2, .., 1/(i-1)) / i`` for ``i >= 1``.
+    Entries are :class:`fractions.Fraction` when ``exact``, else floats;
     ``exact=None`` selects rational arithmetic for ``i <= 64`` and double
-    precision beyond.
+    precision beyond.  The mass sums to 1 once ``kmax`` covers the support.
     """
     i = int(i)
     if i < 0:
@@ -331,8 +310,7 @@ def level_pmf(i: int, kmax: int, exact: Union[bool, None] = None) -> LevelDistri
     if exact is None:
         exact = i <= RATIONAL_DP_MAX_NODES
     e = _truncated_total(1, i, object if exact else float, kmax)
-    probs = e if i == 0 else [0 * e[0]] + [c / i for c in e[:-1]]  # the root has level 0
-    return LevelDistribution(i, tuple(probs), exact)
+    return tuple(e if i == 0 else [0 * e[0]] + [c / i for c in e[:-1]])  # the root has level 0
 
 
 def expected_level_size(n: int, k: int, exact: Union[bool, None] = None):

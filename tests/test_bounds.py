@@ -14,7 +14,6 @@ from urtlab import (
     lower_tail_bound,
     tail_bound_high_index,
     tail_bound_low_index,
-    tail_bound_pair,
     upper_tail_bound,
 )
 
@@ -85,7 +84,7 @@ def test_bound_monotonicity():
 
 
 def test_pair_bounds_hand_values():
-    high, low = tail_bound_pair(10**6, 0.5, 0.1)
+    high, low = tail_bound_high_index(10**6, 0.5, 0.1), tail_bound_low_index(10**6, 0.5, 0.1)
     assert high == pytest.approx(math.exp(-0.01 * math.log(10**6)), rel=1e-12)
     assert high == pytest.approx(0.8710, abs=5e-5)
     assert low == pytest.approx(math.exp(-(0.01 / 1.2) * math.log(10**6)), rel=1e-12)
@@ -93,7 +92,7 @@ def test_pair_bounds_hand_values():
 
 
 def test_pair_bounds_approach_one_for_tiny_eps():
-    high, low = tail_bound_pair(10**6, 0.5, 1e-9)
+    high, low = tail_bound_high_index(10**6, 0.5, 1e-9), tail_bound_low_index(10**6, 0.5, 1e-9)
     assert high == pytest.approx(1.0, abs=1e-9)
     assert low == pytest.approx(1.0, abs=1e-9)
 

@@ -764,6 +764,7 @@ def test_enumerate_refuses_a_negative_level(capsys, monkeypatch, params):
     (["enumerate", "--n", "4", "--statistic", "exceedance_count", "--k", "1", "--t", "1.5"], 1,
      "statistic 'exceedance_count': t must lie in (0, 1), got 1.5"),
     (["enumerate", "--n", "12"], 2, "enumeration is guarded to n <= 11, got 12"),
+    (["stats", "--n", "10", "--seed", "1", "--k", "9", "--t", "0.5"], 1, "level 9 is empty (n=10)"),
 ])
 def test_stats_and_enumerate_refuse_before_the_echo(capsys, argv, code, line):
     """Both echoed their settings and then refused a level or threshold."""

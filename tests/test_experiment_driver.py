@@ -59,7 +59,7 @@ PINNED = {
     "degree_distribution_uniform": "2bd474f36a6b578bf7798f64e1d78474b850ef5930b7bee03c7b7333c2c54a59",
     "degree_distribution_preferential": "6ecdb2da81f0db79599db1cf25ff489d6250decbee82b1a8a6025ca3ecb9baae",
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",
-    "max_degree": "052a9c0ce7f1cebfa166f20276b092c6633cd9efee838a96b047d817180cc50a",
+    "max_degree": "dc71e4d6ed650e7915ec123a6b73ec0ba0013b5f8d079caec60d7e8a7143a062",
     "higher_level_small_degree": "cc9f2fc26d347a673b66463af5a66d66fe6558b50a148837394c7d3d6a3f291c",
     "tail_vs_bound": "72c885d62b8b49beb93902b1bbf94c84959902a8840d9fbf59a91426c1620442",
 }

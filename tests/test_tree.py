@@ -492,3 +492,14 @@ def test_derived_arrays_are_cached_read_only_and_owned():
     again = RecursiveTree(t.parent, t.model, t.seed)
     assert not np.shares_memory(again.parent, t.parent)
     assert np.array_equal(again.degree, t.degree) and np.array_equal(again.level, t.level)
+
+
+def test_writes_to_the_callers_parents_do_not_reach_the_tree():
+    """The tree viewed a writable array of the caller's without a copy."""
+    p = np.array([-1, 0, 0, 1, 1])
+    t = RecursiveTree(p, GrowthModel.UNIFORM, DETERMINISTIC)
+    t.degree
+    p[3] = 2
+    p[4] = 3
+    assert t.parent.tolist() == [-1, 0, 0, 1, 1]
+    assert validate(t) == []
