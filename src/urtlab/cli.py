@@ -8,7 +8,8 @@ can be reproduced from the printed line alone.  Exit codes: 0 success,
 ``error:`` line on stderr.  ``stats``, ``enumerate`` and ``experiment``
 refuse a level, threshold or other setting they cannot run before their
 echo; ``experiment`` names a setting by the flag and the value as typed,
-e.g. ``--reps 0`` or ``--k 1,2``.
+e.g. ``--reps 0`` or ``--k 1,2``.  A resource guard (exit 2) may refuse an
+``experiment`` after its echo, but before any replication runs.
 
 ``_emit`` writes every text result, once the command has computed it: to
 the ``--out`` file where the command takes one and it is given, otherwise to

@@ -14,13 +14,16 @@ so no run that starts refuses its settings.  It checks the ranges of t,
 eps, ``d_max`` and k only where the experiment reads them (:data:`READS`):
 a setting it never reads changes nothing in the report.
 
-Each of the seven runners is one call of :func:`_run`, naming a picklable
-per-replication kernel of ``(config, n, seed)``, which reads its settings
-from the config by name, and a function that turns the ``(replications x
-columns)`` table at that ``n`` into report rows; ``tail_vs_bound`` has no
-kernel, as its rows are exact.
-``_run`` opens one process pool for the whole run when :func:`run_workers`,
-the count the command line echoes, is above 1.  A kernel makes one
+Each :data:`EXPERIMENTS` entry is one call of :func:`_run`, naming a
+picklable per-replication kernel of ``(config, n, seed)``, which reads its
+settings from the config by name, and a rows builder that turns the
+``(replications x columns)`` table at that ``n`` into report rows;
+``tail_vs_bound`` has no kernel, as its rows are exact, and derives no seed.
+``_run`` replicates each distinct n of the grid once, the largest first,
+and then builds the rows in grid order: the memory guards grow with n, so a
+grid whose largest n is past them refuses before any replication runs.
+It opens one process pool for the whole run when :func:`run_workers`, the
+count the command line echoes, is above 1.  A kernel makes one
 :mod:`urtlab.stats` call and packs the result into a tuple.  The four
 level kernels (``level_exceedance``, ``first_level_degrees``,
 ``level_sizes`` and ``higher_level_small_degree``) call the streamed level
@@ -274,7 +277,8 @@ def _replicate(call: Callable, seeds: list[int], pool, workers: int) -> np.ndarr
 
 def _run(config: ExperimentConfig, kernel: Optional[Callable],
          summarise: Callable) -> ExperimentReport:
-    """Replicate ``kernel(config, n, seed)`` at each n of the grid and report the rows.
+    """Replicate ``kernel(config, n, seed)`` at each distinct n of the grid,
+    the largest first, and report the rows in grid order.
 
     ``summarise(config, n, table)`` builds the rows at ``n`` from the
     per-replication table, which is ``None`` when there is no kernel and
@@ -282,16 +286,17 @@ def _run(config: ExperimentConfig, kernel: Optional[Callable],
     """
     t0 = time.perf_counter()
     workers = run_workers(config)
-    # replication r has the same seed at every n; derived before the pool
-    # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
-    seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
-    rows = []
-    with get_context().Pool(workers, _keep_freed_heap) if workers > 1 else nullcontext() as pool:
-        for n in config.n_grid:
-            table = None
-            if kernel is not None:
-                table = _replicate(partial(kernel, config, n), seeds, pool, workers)
-            rows.extend({**row, "seed": config.seed} for row in summarise(config, n, table))
+    tables = dict.fromkeys(config.n_grid)  # one per distinct n
+    if kernel is not None:
+        # replication r has the same seed at every n; derived before the pool
+        # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
+        seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
+        opened = get_context().Pool(workers, _keep_freed_heap) if workers > 1 else nullcontext()
+        with opened as pool:
+            for n in sorted(tables, reverse=True):  # a guard refuses the largest n first
+                tables[n] = _replicate(partial(kernel, config, n), seeds, pool, workers)
+    rows = [{**row, "seed": config.seed}
+            for n in config.n_grid for row in summarise(config, n, tables[n])]
     echoed = ECHOED + READS[config.experiment]
     return ExperimentReport(
         experiment=config.experiment,
@@ -343,6 +348,11 @@ def _kernel_level_exceedance(config, n, seed):
 
 
 def _level_exceedance_rows(config, n, table):
+    """Mean exceedance fraction per (n, k, t) against the (1-t)^k asymptote.
+
+    Rows carry the mean and SE of both the fraction and the raw exceedance
+    count, plus the exact expected count where the DP oracle is in range.
+    """
     rows = []
     for col, (k, t) in enumerate(itertools.product(config.k_grid, config.t_grid)):
         nums, sizes, fracs = table[:, 3 * col : 3 * col + 3].T
@@ -360,15 +370,6 @@ def _level_exceedance_rows(config, n, table):
             exact_level_size=exact_level_size,
             replications_used=int(np.count_nonzero(~np.isnan(fracs)))))
     return rows
-
-
-def run_level_exceedance(config: ExperimentConfig) -> ExperimentReport:
-    """Mean exceedance fraction per (n, k, t) against the (1-t)^k asymptote.
-
-    Rows carry the mean and SE of both the fraction and the raw exceedance
-    count, plus the exact expected count where the DP oracle is in range.
-    """
-    return _run(config, _kernel_level_exceedance, _level_exceedance_rows)
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +401,17 @@ def _moment_vectors(d_max: int) -> list[ExponentVector]:
 
 
 def _first_level_degrees_rows(config, n, table):
+    """Empirical law of the first-level degree counts.
+
+    Rows report, per degree ``d <= d_max``: the mean count with its exact
+    expectation, the TV distance of the empirical law to Poisson(1), all
+    pairwise correlations, and the joint factorial moments of combined
+    order at most 3 against the recursion values (rational up to
+    ``n = 4096``, float recursion beyond, carried in ``exact_mode``).  The
+    TV rows' ``limit`` 0 is reached only as n and the replication count
+    both grow: at fixed replications the empirical law stays apart from
+    Poisson(1).
+    """
     table = table.astype(np.int64)
     exact_mode = "rational" if n <= EXACT_MOMENT_MAX_N else "float-recursion"
     unit_vectors = [ExponentVector((0,) * (d - 1) + (1,)) for d in range(1, config.d_max + 1)]
@@ -435,18 +447,6 @@ def _first_level_degrees_rows(config, n, table):
     return rows
 
 
-def run_first_level_degrees(config: ExperimentConfig) -> ExperimentReport:
-    """Empirical law of the first-level degree counts.
-
-    Rows report, per degree ``d <= d_max``: the mean count with its exact
-    expectation, the TV distance of the empirical law to Poisson(1), all
-    pairwise correlations, and the joint factorial moments of combined
-    order at most 3 against the recursion values (rational up to
-    ``n = 4096``, float recursion beyond, carried in ``exact_mode``).
-    """
-    return _run(config, _kernel_first_level_degrees, _first_level_degrees_rows)
-
-
 # --------------------------------------------------------------------------
 # whole-tree degree distribution
 
@@ -463,17 +463,13 @@ def degree_fraction_limit(model: str, d: int) -> float:
 
 
 def _degree_distribution_rows(config, n, table):
+    """Empirical degree fractions per (n, d) against the model's limit law."""
     rows = []
     for d in range(1, config.d_max + 1):
         mean, se = _mean_se(table[:, d - 1])
         rows.append(_row({"model": config.model, "n": n, "d": d}, mean, se,
                          limit=degree_fraction_limit(config.model, d)))
     return rows
-
-
-def run_degree_distribution(config: ExperimentConfig) -> ExperimentReport:
-    """Empirical degree fractions per (n, d) against the model's limit law."""
-    return _run(config, _kernel_degree_distribution, _degree_distribution_rows)
 
 
 # --------------------------------------------------------------------------
@@ -498,6 +494,13 @@ def _level_scale(n: int, k: int) -> float:
 
 
 def _level_sizes_rows(config, n, table):
+    """Mean level sizes with exact expectations and the (ln n)^k/k! ratio.
+
+    ``limit`` 1 is the limit of ``ratio_mc`` and ``ratio_exact``; the
+    estimate, the mean size itself, grows like (ln n)^k/k!.  The config
+    refuses negative levels, and levels whose (ln n)^k/k! is no normal
+    double.
+    """
     rows = []
     for idx, k in enumerate(config.k_grid):
         mean, se = _mean_se(table[:, idx])
@@ -509,15 +512,6 @@ def _level_sizes_rows(config, n, table):
     return rows
 
 
-def run_level_sizes(config: ExperimentConfig) -> ExperimentReport:
-    """Mean level sizes with exact expectations and the (ln n)^k/k! ratio.
-
-    The config refuses negative levels, and levels whose (ln n)^k/k! is no
-    normal double.
-    """
-    return _run(config, _kernel_level_sizes, _level_sizes_rows)
-
-
 # --------------------------------------------------------------------------
 # maximum degree versus log2(n)
 
@@ -527,17 +521,18 @@ def _kernel_max_degree(config, n, seed):
 
 
 def _max_degree_rows(config, n, table):
+    """Distribution summary of max degree / log2(n) per n.
+
+    The estimate is the median ratio, which has no SE here; ``mean_se`` is
+    the SE of ``mean_ratio``.
+    """
     log2n = math.log2(n) if n > 1 else 1.0
     ratios = table[:, 0] / log2n
-    mean, se = _mean_se(ratios)
-    return [_row({"n": n}, np.median(ratios), se, limit=1.0, mean_ratio=_clean(mean),
+    mean, mean_se = _mean_se(ratios)
+    return [_row({"n": n}, np.median(ratios), limit=1.0, mean_ratio=_clean(mean),
+                 mean_se=_clean(mean_se),
                  min_ratio=_clean(ratios.min()), q10_ratio=_clean(np.quantile(ratios, 0.10)),
                  q90_ratio=_clean(np.quantile(ratios, 0.90)))]
-
-
-def run_max_degree(config: ExperimentConfig) -> ExperimentReport:
-    """Distribution summary of max degree / log2(n) per n."""
-    return _run(config, _kernel_max_degree, _max_degree_rows)
 
 
 # --------------------------------------------------------------------------
@@ -555,6 +550,12 @@ def _kernel_higher_level(config, n, seed):
 
 
 def _higher_level_rows(config, n, table):
+    """Counts of degree-d nodes in level k >= 2 against the size of level k-1.
+
+    The heuristic reference is a ratio near 1 and a proportion near
+    ``k / ln n``, since E|L_{k-1}| / E|L_k| ~ k / ln n; rows carry both, the
+    proportion scaled by ``ln n / k``, so their limits read 1.
+    """
     rows = []
     width = config.d_max + 2
     for idx, k in enumerate(config.k_grid):
@@ -571,16 +572,6 @@ def _higher_level_rows(config, n, table):
                 proportion=_clean(proportion),
                 proportion_scaled=_clean(proportion * math.log(n) / k if size_k_mean else None)))
     return rows
-
-
-def run_higher_level_small_degree(config: ExperimentConfig) -> ExperimentReport:
-    """Counts of degree-d nodes in level k >= 2 against the size of level k-1.
-
-    The heuristic reference is a ratio near 1 and a proportion near
-    ``k / ln n``, since E|L_{k-1}| / E|L_k| ~ k / ln n; rows carry both, the
-    proportion scaled by ``ln n / k``, so their limits read 1.
-    """
-    return _run(config, _kernel_higher_level, _higher_level_rows)
 
 
 # --------------------------------------------------------------------------
@@ -601,6 +592,14 @@ def _admissible_indices(n: int, t: float, eps: float, side: str):
 
 
 def _tail_vs_bound_rows(config, n, table):
+    """Closed-form bounds against exact tails at every n; nothing is simulated.
+
+    For each (n, t) and the configured ``eps``, one degree-law pass reads
+    ``P(X > t ln n)`` of every late node (``i > n^(1-t+eps)``) against the
+    high-index bound, another ``P(X <= t ln n)`` of every early node
+    (``i <= n^(1-t-eps)-1``) against the low-index bound.
+    Skipped (t, eps) combinations are recorded as note rows.
+    """
     rows = []
     eps = float(config.eps)
     for t in config.t_grid:
@@ -626,26 +625,20 @@ def _tail_vs_bound_rows(config, n, table):
     return rows
 
 
-def run_tail_vs_bound(config: ExperimentConfig) -> ExperimentReport:
-    """Closed-form bounds against exact tails at every n; nothing is simulated.
-
-    For each (n, t) and the configured ``eps``, one degree-law pass reads
-    ``P(X > t ln n)`` of every late node (``i > n^(1-t+eps)``) against the
-    high-index bound, another ``P(X <= t ln n)`` of every early node
-    (``i <= n^(1-t-eps)-1``) against the low-index bound.
-    Skipped (t, eps) combinations are recorded as note rows.
-    """
-    return _run(config, None, _tail_vs_bound_rows)
-
-
+# each entry names its kernel when called, not when imported, so a wrapper
+# swapped onto an experiments._kernel_* attribute is the one that runs
 EXPERIMENTS = {
-    "level_exceedance": run_level_exceedance,
-    "first_level_degrees": run_first_level_degrees,
-    "degree_distribution": run_degree_distribution,
-    "level_sizes": run_level_sizes,
-    "max_degree": run_max_degree,
-    "higher_level_small_degree": run_higher_level_small_degree,
-    "tail_vs_bound": run_tail_vs_bound,
+    "level_exceedance": lambda config: _run(config, _kernel_level_exceedance,
+                                            _level_exceedance_rows),
+    "first_level_degrees": lambda config: _run(config, _kernel_first_level_degrees,
+                                               _first_level_degrees_rows),
+    "degree_distribution": lambda config: _run(config, _kernel_degree_distribution,
+                                               _degree_distribution_rows),
+    "level_sizes": lambda config: _run(config, _kernel_level_sizes, _level_sizes_rows),
+    "max_degree": lambda config: _run(config, _kernel_max_degree, _max_degree_rows),
+    "higher_level_small_degree": lambda config: _run(config, _kernel_higher_level,
+                                                     _higher_level_rows),
+    "tail_vs_bound": lambda config: _run(config, None, _tail_vs_bound_rows),
 }
 
 # accepted on the command line for compatibility with existing scripts

@@ -518,18 +518,15 @@ def _parent_array(seq: np.ndarray) -> np.ndarray:
     return parent
 
 
-def grow_from_sequence(
-    parents: Sequence[int],
-    model: Union[str, GrowthModel] = GrowthModel.UNIFORM,
-) -> RecursiveTree:
+def grow_from_sequence(parents: Sequence[int]) -> RecursiveTree:
     """Build the tree in which node ``i`` attached to ``parents[i-1]``.
 
     The sequence lists attachment targets of nodes ``1..n-1``; entry ``i-1``
-    must be a node index smaller than ``i``.  The result carries the
-    ``"deterministic"`` seed marker.
+    must be a node index smaller than ``i``.  The result is tagged uniform
+    and carries the ``"deterministic"`` seed marker.
     """
     parent = _parent_array(np.asarray(list(parents), dtype=np.int64))
-    return _adopted(parent, GrowthModel.parse(model), DETERMINISTIC)
+    return _adopted(parent, GrowthModel.UNIFORM, DETERMINISTIC)
 
 
 def validate(tree: RecursiveTree) -> list[str]:

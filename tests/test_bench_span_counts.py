@@ -39,3 +39,15 @@ def test_an_in_process_run_counts_every_call_in_its_spans(settings, calls):
     counted = {name: span.count for name, span in tracer.spans.items() if span.count}
     assert counted == {"experiments.runner": 1, "experiments.replicate": len(settings["n_grid"]),
                        "rng.derive_seed": 3, **calls}
+
+
+def test_tail_vs_bound_derives_no_seed_and_replicates_nothing():
+    """Its rows are exact: the run neither replicates nor derives a seed."""
+    tracer = _tracing().Tracer(SPANS)
+    try:
+        run_experiment(ExperimentConfig(experiment="tail_vs_bound", n_grid=(200, 300),
+                                        replications=3, seed=11, workers=1))
+    finally:
+        tracer.remove()
+    counted = {name: span.count for name, span in tracer.spans.items() if span.count}
+    assert counted == {"experiments.runner": 1}

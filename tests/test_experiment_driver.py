@@ -23,6 +23,7 @@ import pytest
 
 from urtlab import ExperimentConfig, run_experiment
 from urtlab import experiments
+from urtlab.errors import ResourceGuardError
 
 MATRIX = {
     "level_exceedance": dict(
@@ -59,7 +60,7 @@ PINNED = {
     "degree_distribution_uniform": "2bd474f36a6b578bf7798f64e1d78474b850ef5930b7bee03c7b7333c2c54a59",
     "degree_distribution_preferential": "6ecdb2da81f0db79599db1cf25ff489d6250decbee82b1a8a6025ca3ecb9baae",
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",
-    "max_degree": "dc71e4d6ed650e7915ec123a6b73ec0ba0013b5f8d079caec60d7e8a7143a062",
+    "max_degree": "6cdb8b96b5ad3769ed507b9f157d4f19a0c63ccf5727684b0f4e85ad78f2c0a8",
     "higher_level_small_degree": "cc9f2fc26d347a673b66463af5a66d66fe6558b50a148837394c7d3d6a3f291c",
     "tail_vs_bound": "72c885d62b8b49beb93902b1bbf94c84959902a8840d9fbf59a91426c1620442",
 }
@@ -129,3 +130,43 @@ def test_a_run_opens_at_most_one_pool(monkeypatch):
     rep = run_experiment(ExperimentConfig(**MATRIX["tail_vs_bound"], workers=2))
     assert {row.get("mode") for row in rep.rows} == {"exact", None}
     assert len(created) == 1
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Patch a wrapper onto the level_exceedance kernel; return the list of
+    the n it is called at, one entry per replication."""
+    calls = []
+    kernel = experiments._kernel_level_exceedance
+
+    def counting(config, n, seed):
+        calls.append(n)
+        return kernel(config, n, seed)
+
+    monkeypatch.setattr(experiments, "_kernel_level_exceedance", counting)
+    return calls
+
+
+def test_a_grid_past_the_memory_guard_replicates_no_smaller_n(monkeypatch):
+    """The largest n replicates first, so its growth guard refuses before
+    any kernel runs at the grid's smaller n."""
+    calls = _count_kernel_calls(monkeypatch)
+    config = ExperimentConfig(experiment="level_exceedance", n_grid=(1000, 10**12),
+                              replications=3, seed=1, workers=1)
+    with pytest.raises(ResourceGuardError, match="physical memory"):
+        run_experiment(config)
+    assert calls == [10**12]
+
+
+# sha256 of the rows of level_exceedance at n_grid=(500, 200, 500), 3 replications, seed 1,
+# as they were when every grid entry was replicated in turn
+REPEATED_N_ROWS = "8473ef706d7046d254a2dfd7d9099a1e139d346d7578e7ae2bac0187734209a4"
+
+
+def test_a_repeated_n_replicates_once_and_reports_twice(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    rep = run_experiment(ExperimentConfig(experiment="level_exceedance", n_grid=(500, 200, 500),
+                                          replications=3, seed=1, workers=1))
+    assert calls == [500] * 3 + [200] * 3
+    assert [row["point"]["n"] for row in rep.rows] == [500, 200, 500]
+    assert rep.rows[0] == rep.rows[2]
+    assert rows_digest(rep) == REPEATED_N_ROWS

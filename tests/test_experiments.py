@@ -202,7 +202,7 @@ def test_max_degree_degenerate_two_nodes():
     )
     rep = run_experiment(cfg)
     assert rep.rows[0]["estimate"] == 1.0  # max degree 1, log2(2) = 1
-    assert rep.rows[0]["se"] == 0.0
+    assert rep.rows[0]["mean_se"] == 0.0
 
 
 def test_higher_level_requires_k_at_least_two():
