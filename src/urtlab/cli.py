@@ -8,8 +8,13 @@ can be reproduced from the printed line alone.  Exit codes: 0 success,
 ``error:`` line on stderr.  ``stats``, ``enumerate`` and ``experiment``
 refuse a level, threshold or other setting they cannot run before their
 echo; ``experiment`` names a setting by the flag and the value as typed,
-e.g. ``--reps 0`` or ``--k 1,2``.  A resource guard (exit 2) may refuse an
-``experiment`` after its echo, but before any replication runs.
+e.g. ``--reps 0`` or ``--k 1,2``, and refuses a missing ``--reps`` or
+``--seed`` only where the experiment reads it (``tail_vs_bound`` reads
+neither).  Its echo holds the settings the report's ``config`` holds, and
+the worker count, output path and format beside them.  A comma-separated
+value that does not parse is refused before any echo, with its flag and
+text as typed.  A resource guard (exit 2) may refuse an ``experiment``
+after its echo, but before any replication runs.
 
 ``_emit`` writes every text result, once the command has computed it: to
 the ``--out`` file where the command takes one and it is given, otherwise to
@@ -44,9 +49,14 @@ def _echo(command: str, settings: dict) -> None:
     print(f"# urtlab {command} {json.dumps(printable)}", file=sys.stderr)
 
 
-def _values(text: str, kind) -> list:
-    """The comma-separated values of ``text`` as ``kind``; empty parts are skipped."""
-    return [kind(part) for part in text.split(",") if part != ""]
+def _values(text: str, kind, flag: str) -> list:
+    """The comma-separated values of ``text``, given to ``flag``, as ``kind``;
+    empty parts are skipped."""
+    try:
+        return [kind(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} takes comma-separated {noun}, got {flag} {text}") from None
 
 
 def _given(args, flags: dict) -> dict:
@@ -89,8 +99,8 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     if args.t is not None and args.k is None:
         raise ValueError("--t needs --k: exceedance fractions are taken per level")
-    ks = [] if args.k is None else _values(args.k, int)
-    ts = [] if args.t is None else _values(args.t, float)
+    ks = [] if args.k is None else _values(args.k, int, "--k")
+    ts = [] if args.t is None else _values(args.t, float, "--t")
     if ks and min(ks) < 0:
         raise ValueError(f"level k must be >= 0, got {min(ks)}")
     tree = _load_input_tree(args)
@@ -128,12 +138,14 @@ def _cmd_bijection(args) -> int:
     sources = [args.parents is not None, args.perm is not None, args.infile is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --parents, --perm, --in")
+    parents = None if args.parents is None else _values(args.parents, int, "--parents")
+    image = None if args.perm is None else _values(args.perm, int, "--perm")
     _echo("bijection", {"parents": args.parents, "perm": args.perm, "in": args.infile,
                         "fixed_points": args.fixed_points or None})
-    if args.perm is not None:
-        perm = Permutation(tuple(_values(args.perm, int)))
-    elif args.parents is not None:
-        perm = tree_to_permutation(grow_from_sequence(_values(args.parents, int)))
+    if image is not None:
+        perm = Permutation(tuple(image))
+    elif parents is not None:
+        perm = tree_to_permutation(grow_from_sequence(parents))
     else:
         perm = tree_to_permutation(load_tree(args.infile))
     if args.fixed_points:
@@ -151,11 +163,12 @@ def _cmd_moments(args) -> int:
         raise ValueError("--ns needs --table; without it moments prints the one value at --n")
     if (args.n is None) == (args.ns is None):
         raise ValueError("give exactly one of --n and --ns")
-    k = _values(args.k, int)
+    k = _values(args.k, int, "--k")
+    ns = [args.n] if args.ns is None else _values(args.ns, int, "--ns")
     _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns,
                       "out": args.out})
     if args.table:
-        table = MomentTable(k, [args.n] if args.ns is None else _values(args.ns, int))
+        table = MomentTable(k, ns)
         _emit(table.write_csv, args.out)
     else:
         _emit(fraction_text(exact_factorial_moment(args.n, k)), args.out)
@@ -209,7 +222,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     # a flag left out takes ExperimentConfig's default; the config refuses bad settings
-    settings = {field: _values(value, GRIDS[field]) if field in GRIDS else value
+    settings = {field: _values(value, GRIDS[field], FLAGS[field]) if field in GRIDS else value
                 for field, value in _given(args, FLAGS).items()}
     config = ExperimentConfig(args.id, **settings)
     _echo("experiment", {"id": args.id, **config.to_dict(), "workers": run_workers(config),
@@ -283,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=ids, metavar="id",
                    help="one of: " + ", ".join(ids))
     p.add_argument("--n", required=True, help="comma-separated n grid")
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--reps", type=int, help="replications, where the experiment simulates")
+    p.add_argument("--seed", type=int, help="master seed, where the experiment simulates")
     p.add_argument("--model", choices=["uniform", "preferential"])
     p.add_argument("--k", help="comma-separated level grid")
     p.add_argument("--t", help="comma-separated threshold grid")

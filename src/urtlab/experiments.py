@@ -10,9 +10,10 @@ the worker count changes wall time only.
 
 :class:`ExperimentConfig` refuses every setting an experiment cannot run
 when it is built, and names each by its command-line flag (:data:`FLAGS`),
-so no run that starts refuses its settings.  It checks the ranges of t,
-eps, ``d_max`` and k only where the experiment reads them (:data:`READS`):
-a setting it never reads changes nothing in the report.
+so no run that starts refuses its settings.  It requires the replication
+count and the seed, and checks them and the ranges of t, eps, ``d_max``
+and k, only where the experiment reads them (:data:`READS`): a setting it
+never reads changes nothing in the report.
 
 Each :data:`EXPERIMENTS` entry is one call of :func:`_run`, naming a
 picklable per-replication kernel of ``(config, n, seed)``, which reads its
@@ -32,8 +33,11 @@ at a time and hold one byte of level per node, never the tree's
 length-``n`` arrays; ``degree_distribution`` and ``max_degree`` need every
 degree, so they grow the tree with :func:`urtlab.tree.grow`.
 
-:data:`READS` lists the config fields each experiment reads beyond the
-grid, replication count and seed; the report echoes exactly those.  Only
+:data:`READS` lists the config fields each experiment reads beyond its
+id and grid (:data:`ECHOED`), and :meth:`ExperimentConfig.to_dict` holds
+exactly those: it is the one echo, of the report and of the command line.
+``tail_vs_bound`` reads neither the replication count nor the seed, so its
+report's seed is None and its rows carry none.  Only
 ``degree_distribution`` reads ``model``: it grows preferential trees too,
 and the other experiments refuse any model but uniform.
 """
@@ -66,23 +70,22 @@ from .stats import (degree_histogram, exceedance_threshold, max_degree, streamed
 from .tree import GrowthModel, grow
 
 SCHEMA = "urt-report/1"
-ECHOED = ("experiment", "n_grid", "replications", "seed")  # in every report's config echo
-# experiments whose rows are all exact: nothing is simulated, so no pool opens
-EXACT_ONLY = ("tail_vs_bound",)
+ECHOED = ("experiment", "n_grid")  # in every report's config echo
 POOL_MIN_REPLICATIONS = 4  # fewer replications run in process
 # level_exceedance rows carry exact_numerator up to this n: past it the tails cost
 # ~1 s per point at 10^6, and the benchmark's 5-SE check on the count has no derived rate
 EXACT_NUMERATOR_MAX_N = 10_000
 EXACT_MOMENT_MAX_N = 4096  # first_level_degrees, its only reader, takes rational moments up to here
 
-# config fields each experiment reads besides ECHOED; its report echoes them too
+# config fields each experiment reads besides ECHOED; its report echoes them too,
+# and one left unset is refused
 READS = {
-    "level_exceedance": ("k_grid", "t_grid"),
-    "first_level_degrees": ("d_max",),
-    "degree_distribution": ("model", "d_max"),
-    "level_sizes": ("k_grid",),
-    "max_degree": (),
-    "higher_level_small_degree": ("k_grid", "d_max"),
+    "level_exceedance": ("replications", "seed", "k_grid", "t_grid"),
+    "first_level_degrees": ("replications", "seed", "d_max"),
+    "degree_distribution": ("replications", "seed", "model", "d_max"),
+    "level_sizes": ("replications", "seed", "k_grid"),
+    "max_degree": ("replications", "seed"),
+    "higher_level_small_degree": ("replications", "seed", "k_grid", "d_max"),
     "tail_vs_bound": ("t_grid", "eps"),
 }
 
@@ -106,8 +109,8 @@ class ExperimentConfig:
 
     experiment: str
     n_grid: tuple[int, ...]
-    replications: int
-    seed: int
+    replications: Optional[int] = None
+    seed: Optional[int] = None
     model: str = "uniform"
     k_grid: tuple[int, ...] = (1,)
     t_grid: tuple[float, ...] = (0.5,)
@@ -121,16 +124,20 @@ class ExperimentConfig:
             known = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
         object.__setattr__(self, "experiment", name)
-        reads = READS[name]  # the ranges of t, eps, d_max and k are checked where read
+        reads = READS[name]  # a setting is required and checked only where read
+        unset = [FLAGS[field] for field in reads if getattr(self, field) is None]
+        if unset:
+            raise ValueError(f"experiment {name!r} needs {' and '.join(unset)}")
         for grid, kind in GRIDS.items():
             values = tuple(kind(x) for x in getattr(self, grid))
             if not values:
                 raise ValueError(f"{FLAGS[grid]} grid must be nonempty")
             object.__setattr__(self, grid, values)
-        if self.replications < 1:
+        if "replications" in reads and self.replications < 1:
             raise ValueError("an experiment needs at least one replication, "
                              f"got {_flag_text('replications', self.replications)}")
-        check_seed(self.seed)
+        if "seed" in reads:
+            check_seed(self.seed)
         model = GrowthModel.parse(self.model)
         object.__setattr__(self, "model", model.name.lower())
         if model is not GrowthModel.UNIFORM and "model" not in reads:
@@ -167,22 +174,26 @@ class ExperimentConfig:
                 _level_scale(n, k)
 
     def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        """The settings the run reads, :data:`ECHOED` and :data:`READS`, in field order."""
+        echoed = ECHOED + READS[self.experiment]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()
+                if k in echoed}
 
 
 @dataclass
 class ExperimentReport:
     """Aggregate results: config echo, rows, seed and wall time.
 
-    The config echo holds :data:`ECHOED` and the fields in :data:`READS`
-    for the experiment: settings it never reads (the worker count among
-    them) change nothing in the rows, so they stay out of the report.
+    The config echo is :meth:`ExperimentConfig.to_dict`: settings the
+    experiment never reads (the worker count among them) change nothing in
+    the rows, so they stay out of the report.  The seed is the master seed,
+    or None where the experiment reads none.
     """
 
     experiment: str
     config: dict
     rows: list[dict]
-    seed: int
+    seed: Optional[int]
     runtime_ms: int
 
     def to_dict(self) -> dict:
@@ -213,7 +224,8 @@ class ExperimentReport:
                      for row in self.rows]
         columns = list(dict.fromkeys(key for flat in flat_rows for key in flat))
         buf = io.StringIO()
-        buf.write(f"# schema: {SCHEMA}, experiment: {self.experiment}, seed: {self.seed}\n")
+        seed = json.dumps(self.seed)  # null where the experiment reads no seed
+        buf.write(f"# schema: {SCHEMA}, experiment: {self.experiment}, seed: {seed}\n")
         writer = csv.writer(buf)
         writer.writerow(columns)
         for flat in flat_rows:
@@ -247,11 +259,12 @@ def resolve_workers(requested: Optional[int], replications: Optional[int] = None
 
 
 def run_workers(config: ExperimentConfig) -> int:
-    """Processes that replicate ``config``: 1, in process, when nothing is
-    simulated or there are fewer than :data:`POOL_MIN_REPLICATIONS`
-    replications; otherwise :func:`resolve_workers`.  A pool opens only
-    when this is above 1."""
-    if config.experiment in EXACT_ONLY or config.replications < POOL_MIN_REPLICATIONS:
+    """Processes that replicate ``config``: 1, in process, when it reads no
+    replication count, as nothing is simulated, or reads fewer than
+    :data:`POOL_MIN_REPLICATIONS`; otherwise :func:`resolve_workers`.  A
+    pool opens only when this is above 1."""
+    if ("replications" not in READS[config.experiment]
+            or config.replications < POOL_MIN_REPLICATIONS):
         return 1
     return resolve_workers(config.workers, config.replications)
 
@@ -282,34 +295,35 @@ def _run(config: ExperimentConfig, kernel: Optional[Callable],
 
     ``summarise(config, n, table)`` builds the rows at ``n`` from the
     per-replication table, which is ``None`` when there is no kernel and
-    nothing is simulated.  Every row ends with the master seed, added here.
+    nothing is simulated.  Where replication seeds are derived, every row
+    ends with the master seed, added here.
     """
     t0 = time.perf_counter()
     workers = run_workers(config)
     tables = dict.fromkeys(config.n_grid)  # one per distinct n
+    seed = None if kernel is None else config.seed  # the master seed, where one is read
     if kernel is not None:
         # replication r has the same seed at every n; derived before the pool
         # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
-        seeds = [derive_seed(config.seed, r) for r in range(config.replications)]
+        seeds = [derive_seed(seed, r) for r in range(config.replications)]
         opened = get_context().Pool(workers, _keep_freed_heap) if workers > 1 else nullcontext()
         with opened as pool:
             for n in sorted(tables, reverse=True):  # a guard refuses the largest n first
                 tables[n] = _replicate(partial(kernel, config, n), seeds, pool, workers)
-    rows = [{**row, "seed": config.seed}
+    rows = [row if seed is None else {**row, "seed": seed}
             for n in config.n_grid for row in summarise(config, n, tables[n])]
-    echoed = ECHOED + READS[config.experiment]
     return ExperimentReport(
         experiment=config.experiment,
-        config={k: v for k, v in config.to_dict().items() if k in echoed},
+        config=config.to_dict(),
         rows=rows,
-        seed=config.seed,
+        seed=seed,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
 def _row(point: dict, estimate, se=None, exact=None, limit=None, **extra) -> dict:
     """One report row: the columns every row shares, in order, then its own;
-    a NaN estimate or SE reads None.  :func:`_run` adds the seed."""
+    a NaN estimate or SE reads None.  :func:`_run` adds the seed where one is read."""
     return {"point": point, "estimate": _clean(estimate), "se": _clean(se), "exact": exact,
             "limit": limit, **extra}
 

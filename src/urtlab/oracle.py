@@ -173,6 +173,8 @@ def checked_statistic(n: int, statistic: str, **params) -> Callable:
         raise ValueError(f"statistic {statistic!r}: {exc}") from None
     if params.get("k", 0) < 0:
         raise ValueError(f"statistic {statistic!r}: level k must be >= 0, got {params['k']}")
+    if params.get("d", 1) < 1:  # at n >= 2 every node has an edge
+        raise ValueError(f"statistic {statistic!r}: degree d must be >= 1, got {params['d']}")
     if not 0.0 < params.get("t", 0.5) < 1.0:
         raise ValueError(f"statistic {statistic!r}: t must lie in (0, 1), got {params['t']}")
     return fn
@@ -183,8 +185,9 @@ def exact_statistic_distribution(n: int, statistic: str, **params) -> ExactDistr
 
     Registered statistics: ``level_degree_count`` (params ``d``, optional
     ``k``), ``exceedance_count`` (``k``, ``t``), ``level_size`` (``k``),
-    ``max_degree``, ``fixed_points``.  A negative level ``k``, or a ``t``
-    outside (0, 1), is refused before anything is enumerated.
+    ``max_degree``, ``fixed_points``.  A negative level ``k``, a degree
+    ``d`` below 1, or a ``t`` outside (0, 1), is refused before anything is
+    enumerated.
     """
     fn = checked_statistic(n, statistic, **params)
     counts: dict[int, int] = {}

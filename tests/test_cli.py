@@ -657,7 +657,7 @@ def test_experiment_flags_left_out_take_the_config_defaults(capsys, experiment):
     assert code == 0
     (echo,) = [line for line in err.splitlines() if line.startswith("# urtlab experiment ")]
     echo = json.loads(echo[len("# urtlab experiment "):])
-    for field in ("model", "k_grid", "t_grid", "d_max", "eps"):
+    for field in experiments.READS[experiment]:
         assert echo[field] == defaults[field], field
     config = json.loads(out)["config"]
     assert experiments.READS[experiment]
@@ -708,6 +708,67 @@ def test_experiment_refusals_give_the_flag_as_typed(capsys, monkeypatch, argv, l
                              "--workers", "2", *argv)
     assert code == 1 and out == "" and calls == []
     assert err == f"error: {line}\n"
+
+
+def test_tail_vs_bound_runs_without_reps_or_seed(capsys):
+    """Both flags were required of every experiment, though this one reads neither."""
+    code, out, err = run_cli(capsys, "experiment", "tail_vs_bound", "--n", "500")
+    assert code == 0 and "error" not in err
+    report = json.loads(out)
+    assert report["config"] == {"experiment": "tail_vs_bound", "n_grid": [500], "t_grid": [0.5],
+                                "eps": 0.1}
+    assert report["seed"] is None and report["rows"]
+    assert all("seed" not in row for row in report["rows"])
+    code, out, _ = run_cli(capsys, "experiment", "tail_vs_bound", "--n", "500", "--format", "csv")
+    assert code == 0 and out.splitlines()[0].endswith(", seed: null")
+
+
+@pytest.mark.parametrize("experiment", ["level_exceedance", "max_degree"])
+@pytest.mark.parametrize("missing", ["--reps", "--seed"])
+def test_a_simulating_experiment_refuses_a_missing_reps_or_seed(capsys, monkeypatch,
+                                                                experiment, missing):
+    calls = []
+    for name in [name for name in vars(experiments) if name.startswith("_kernel_")]:
+        monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "get_context", lambda: calls.append("pool"))
+    given = [arg for flag, value in (("--reps", "4"), ("--seed", "1")) if flag != missing
+             for arg in (flag, value)]
+    code, out, err = run_cli(capsys, "experiment", experiment, "--n", "50", "--workers", "2",
+                             *given)
+    assert code == 1 and out == "" and calls == []
+    assert err == f"error: experiment {experiment!r} needs {missing}\n"
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments.EXPERIMENTS))
+def test_the_experiment_echo_holds_the_report_config(capsys, experiment):
+    """The stderr line dumped every config field, read or not."""
+    code, out, err = run_cli(capsys, "experiment", experiment, "--n", "60", "--reps", "2",
+                             "--seed", "1", "--k", "2", "--dmax", "2", "--workers", "1")
+    assert code == 0
+    (echo,) = [line for line in err.splitlines() if line.startswith("# urtlab experiment ")]
+    echo = json.loads(echo[len("# urtlab experiment "):])
+    for execution in ("id", "workers", "out", "format"):
+        echo.pop(execution, None)
+    assert echo == json.loads(out)["config"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["experiment", "level_exceedance", "--n", "1e3", "--reps", "2", "--seed", "1"],
+     "--n takes comma-separated integers, got --n 1e3"),
+    (["stats", "--n", "10", "--seed", "1", "--k", "1.5"],
+     "--k takes comma-separated integers, got --k 1.5"),
+    (["stats", "--n", "10", "--seed", "1", "--k", "1", "--t", "abc"],
+     "--t takes comma-separated numbers, got --t abc"),
+    (["moments", "--n", "5", "--k", "1,x"], "--k takes comma-separated integers, got --k 1,x"),
+    (["moments", "--k", "1", "--table", "--ns", "3,y"],
+     "--ns takes comma-separated integers, got --ns 3,y"),
+    (["bijection", "--parents", "0,a"],
+     "--parents takes comma-separated integers, got --parents 0,a"),
+    (["bijection", "--perm", "1,b"], "--perm takes comma-separated integers, got --perm 1,b"),
+])
+def test_a_list_that_does_not_parse_is_refused_with_its_flag(capsys, argv, line):
+    """The refusal was Python's own message, which names no flag."""
+    assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
 
 
 def test_experiment_flags_are_the_config_settings():
@@ -765,6 +826,11 @@ def test_enumerate_refuses_a_negative_level(capsys, monkeypatch, params):
      "statistic 'exceedance_count': t must lie in (0, 1), got 1.5"),
     (["enumerate", "--n", "12"], 2, "enumeration is guarded to n <= 11, got 12"),
     (["stats", "--n", "10", "--seed", "1", "--k", "9", "--t", "0.5"], 1, "level 9 is empty (n=10)"),
+    # an all-zero law: at n >= 2 no node has degree below 1
+    (["enumerate", "--n", "4", "--statistic", "level_degree_count", "--d", "0"], 1,
+     "statistic 'level_degree_count': degree d must be >= 1, got 0"),
+    (["enumerate", "--n", "4", "--statistic", "level_degree_count", "--d=-1"], 1,
+     "statistic 'level_degree_count': degree d must be >= 1, got -1"),
 ])
 def test_stats_and_enumerate_refuse_before_the_echo(capsys, argv, code, line):
     """Both echoed their settings and then refused a level or threshold."""
@@ -772,11 +838,16 @@ def test_stats_and_enumerate_refuse_before_the_echo(capsys, argv, code, line):
     assert (got, out, err) == (code, "", f"error: {line}\n")
 
 
-@pytest.mark.parametrize("flag", ["--t=1.5", "--k=-5", "--dmax=0", "--eps=nan"])
+@pytest.mark.parametrize("flag", ["--t=1.5", "--k=-5", "--dmax=0", "--eps=nan", "--reps=0",
+                                  "--seed=-1"])
 def test_experiment_leaves_settings_it_never_reads_unchecked(capsys, flag):
-    """max_degree reads neither t nor k: it refused --t 1.5 and ran with --k -5."""
+    """max_degree reads neither t nor k: it refused --t 1.5 and ran with --k -5.
+    tail_vs_bound reads neither the replication count nor the seed: it
+    refused --reps 0, and echoed the seed and wrote it on every row."""
     argv = ["experiment", "max_degree", "--n", "50", "--reps", "2", "--seed", "1",
             "--workers", "1"]
+    if flag.startswith(("--reps", "--seed")):
+        argv = ["experiment", "tail_vs_bound", "--n", "500", "--workers", "1"]
     reports = []
     for extra in ([], [flag]):
         code, out, _ = run_cli(capsys, *argv, *extra)

@@ -62,7 +62,7 @@ PINNED = {
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",
     "max_degree": "6cdb8b96b5ad3769ed507b9f157d4f19a0c63ccf5727684b0f4e85ad78f2c0a8",
     "higher_level_small_degree": "cc9f2fc26d347a673b66463af5a66d66fe6558b50a148837394c7d3d6a3f291c",
-    "tail_vs_bound": "72c885d62b8b49beb93902b1bbf94c84959902a8840d9fbf59a91426c1620442",
+    "tail_vs_bound": "32a07ab76345371797e833c8874c4c352722841a3006f452ac67f061f0c68ef5",
 }
 
 
@@ -77,7 +77,7 @@ def test_rows_are_pinned_for_one_and_two_workers(case):
     assert one.canonical_bytes() == two.canonical_bytes()
 
 
-TAIL_VS_BOUND_N500 = "72a78018e0cc179c64d0eece8c037d6e74f412d8239291bf08e4276ec152f9f0"
+TAIL_VS_BOUND_N500 = "91e84942785b0a94c5a0126e2cd5bec25973650ce1e34f7218adbe94a2af3020"
 
 
 def test_tail_vs_bound_matrix_has_exact_and_note_rows():

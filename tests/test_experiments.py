@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -96,10 +97,19 @@ def test_report_echoes_only_the_fields_the_experiment_reads():
     unread = run_experiment(ExperimentConfig(**base, k_grid=(7,), t_grid=(0.9,), eps=0.4))
     default = run_experiment(ExperimentConfig(**base))
     assert unread.canonical_bytes() == default.canonical_bytes()
-    assert list(default.config) == list(ECHOED) + ["model", "d_max"]
+    assert list(default.config) == list(ECHOED + ("replications", "seed", "model", "d_max"))
     for name in EXPERIMENTS:
         rep = run_experiment(small_config(experiment=name, k_grid=(2,), replications=2))
         assert set(rep.config) == set(ECHOED + READS[name]), name
+
+
+def test_every_config_setting_but_the_worker_count_is_read_somewhere():
+    """A config field that no experiment reads would be a setting that
+    changes nothing; a READS entry that is no field would echo nothing."""
+    fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+    read = set(ECHOED).union(*READS.values())
+    assert set(fields) - read == {"workers"}
+    assert read <= set(fields)
 
 
 def test_level_exceedance_tiny_threshold_is_degenerate_one():
@@ -276,7 +286,7 @@ def test_tail_vs_bound_notes_a_side_without_admissible_nodes():
     ))
     lower = [r for r in rep.rows if r["point"]["side"] == "lower"]
     assert lower == [{"point": {"n": 500, "t": 0.5, "eps": 0.4, "side": "lower"},
-                      "note": "skipped: no admissible node indices", "seed": 1}]
+                      "note": "skipped: no admissible node indices"}]
     assert all("note" not in r for r in rep.rows if r["point"]["side"] == "upper")
 
 
