@@ -5,16 +5,18 @@ Subcommands: ``generate``, ``stats``, ``bijection``, ``moments``,
 configuration (and master seed, where one applies) to stderr so any output
 can be reproduced from the printed line alone.  Exit codes: 0 success,
 1 invalid arguments, 2 resource-guard violations; a refusal is one
-``error:`` line on stderr.  ``stats``, ``enumerate`` and ``experiment``
-refuse a level, threshold or other setting they cannot run before their
-echo; ``experiment`` names a setting by the flag and the value as typed,
-e.g. ``--reps 0`` or ``--k 1,2``, and refuses a missing ``--reps`` or
-``--seed`` only where the experiment reads it (``tail_vs_bound`` reads
-neither).  Its echo holds the settings the report's ``config`` holds, and
-the worker count, output path and format beside them.  A comma-separated
-value that does not parse is refused before any echo, with its flag and
-text as typed.  A resource guard (exit 2) may refuse an ``experiment``
-after its echo, but before any replication runs.
+``error:`` line on stderr.  Every command refuses a setting it cannot run
+before its echo: ``experiment`` builds its config first, and the others
+check their settings or compute their answer first.  ``experiment`` names
+a setting by the flag and the value as typed, e.g. ``--reps 0`` or
+``--k 1,2``, and refuses a missing ``--reps`` or ``--seed`` only where the
+experiment reads it (``tail_vs_bound`` reads neither).  Its echo holds the
+settings the report's ``config`` holds, and the worker count, output path
+and format beside them.  A comma-separated value that does not parse is
+refused before any echo, with its flag and text as typed.  Only an
+experiment's resource guard (exit 2) may refuse after the echo, and then
+before any replication runs; an ``--out`` path that cannot be opened is
+refused when the result is written.
 
 ``_emit`` writes every text result, once the command has computed it: to
 the ``--out`` file where the command takes one and it is given, otherwise to
@@ -140,8 +142,6 @@ def _cmd_bijection(args) -> int:
         raise ValueError("provide exactly one of --parents, --perm, --in")
     parents = None if args.parents is None else _values(args.parents, int, "--parents")
     image = None if args.perm is None else _values(args.perm, int, "--perm")
-    _echo("bijection", {"parents": args.parents, "perm": args.perm, "in": args.infile,
-                        "fixed_points": args.fixed_points or None})
     if image is not None:
         perm = Permutation(tuple(image))
     elif parents is not None:
@@ -154,6 +154,8 @@ def _cmd_bijection(args) -> int:
         answer = json.dumps([int(p) for p in permutation_to_tree(perm).parent_sequence()])
     else:
         answer = perm.to_json()
+    _echo("bijection", {"parents": args.parents, "perm": args.perm, "in": args.infile,
+                        "fixed_points": args.fixed_points or None})
     _emit(answer, None)
     return 0
 
@@ -165,13 +167,13 @@ def _cmd_moments(args) -> int:
         raise ValueError("give exactly one of --n and --ns")
     k = _values(args.k, int, "--k")
     ns = [args.n] if args.ns is None else _values(args.ns, int, "--ns")
+    if args.table:
+        result = MomentTable(k, ns).write_csv
+    else:
+        result = fraction_text(exact_factorial_moment(args.n, k))
     _echo("moments", {"n": args.n, "k": args.k, "table": args.table or None, "ns": args.ns,
                       "out": args.out})
-    if args.table:
-        table = MomentTable(k, ns)
-        _emit(table.write_csv, args.out)
-    else:
-        _emit(fraction_text(exact_factorial_moment(args.n, k)), args.out)
+    _emit(result, args.out)
     return 0
 
 
@@ -191,8 +193,6 @@ def _cmd_bounds(args) -> int:
     for flag, needed in (("i", "n"), ("a", "i"), ("t", "n"), ("t", "eps"), ("eps", "t")):
         if getattr(args, flag) is not None and getattr(args, needed) is None:
             raise ValueError(f"--{flag} needs --{needed}")
-    _echo("bounds", {"i": args.i, "n": args.n, "a": args.a, "t": args.t, "eps": args.eps,
-                     "out": args.out})
     payload: dict = {}
     if args.i is not None:
         s = bnd.expected_children(args.i, args.n)
@@ -216,6 +216,8 @@ def _cmd_bounds(args) -> int:
         payload["low_index_bound"] = bnd.tail_bound_low_index(args.n, args.t, args.eps)
     if not payload:
         raise ValueError("nothing to compute: provide --i/--n [--a] and/or --t/--eps/--n")
+    _echo("bounds", {"i": args.i, "n": args.n, "a": args.a, "t": args.t, "eps": args.eps,
+                     "out": args.out})
     _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 

@@ -11,9 +11,9 @@ the worker count changes wall time only.
 :class:`ExperimentConfig` refuses every setting an experiment cannot run
 when it is built, and names each by its command-line flag (:data:`FLAGS`),
 so no run that starts refuses its settings.  It requires the replication
-count and the seed, and checks them and the ranges of t, eps, ``d_max``
-and k, only where the experiment reads them (:data:`READS`): a setting it
-never reads changes nothing in the report.
+count and the seed, and checks them, the ranges of t, eps, ``d_max`` and k,
+and that a grid is nonempty, only where the experiment reads them
+(:data:`READS`): a setting it never reads changes nothing in the report.
 
 Each :data:`EXPERIMENTS` entry is one call of :func:`_run`, naming a
 picklable per-replication kernel of ``(config, n, seed)``, which reads its
@@ -30,8 +30,8 @@ level kernels (``level_exceedance``, ``first_level_degrees``,
 ``level_sizes`` and ``higher_level_small_degree``) call the streamed level
 statistics, which read the draws of ``grow("uniform", n, seed)`` a block
 at a time and hold one byte of level per node, never the tree's
-length-``n`` arrays; ``degree_distribution`` and ``max_degree`` need every
-degree, so they grow the tree with :func:`urtlab.tree.grow`.
+length-``n`` arrays; ``degree_distribution`` needs every degree, so it
+grows the tree with :func:`urtlab.tree.grow`.
 
 :data:`READS` lists the config fields each experiment reads beyond its
 id and grid (:data:`ECHOED`), and :meth:`ExperimentConfig.to_dict` holds
@@ -65,7 +65,7 @@ from . import oracle
 from .moments import ExponentVector, MomentTable, factorial_moments_float, falling_factorial
 from .oracle import _degree_law_sums
 from .rng import check_seed, derive_seed
-from .stats import (degree_histogram, exceedance_threshold, max_degree, streamed_level_profiles,
+from .stats import (degree_histogram, exceedance_threshold, streamed_level_profiles,
                     streamed_level_sizes)
 from .tree import GrowthModel, grow
 
@@ -84,7 +84,6 @@ READS = {
     "first_level_degrees": ("replications", "seed", "d_max"),
     "degree_distribution": ("replications", "seed", "model", "d_max"),
     "level_sizes": ("replications", "seed", "k_grid"),
-    "max_degree": ("replications", "seed"),
     "higher_level_small_degree": ("replications", "seed", "k_grid", "d_max"),
     "tail_vs_bound": ("t_grid", "eps"),
 }
@@ -129,8 +128,8 @@ class ExperimentConfig:
         if unset:
             raise ValueError(f"experiment {name!r} needs {' and '.join(unset)}")
         for grid, kind in GRIDS.items():
-            values = tuple(kind(x) for x in getattr(self, grid))
-            if not values:
+            values = tuple(kind(x) for x in getattr(self, grid))  # a tuple keeps it hashable
+            if not values and grid in ECHOED + reads:
                 raise ValueError(f"{FLAGS[grid]} grid must be nonempty")
             object.__setattr__(self, grid, values)
         if "replications" in reads and self.replications < 1:
@@ -527,29 +526,6 @@ def _level_sizes_rows(config, n, table):
 
 
 # --------------------------------------------------------------------------
-# maximum degree versus log2(n)
-
-def _kernel_max_degree(config, n, seed):
-    # a single node has no edges: its maximum degree reads 0
-    return (float(max_degree(grow("uniform", n, seed))) if n > 1 else 0.0,)
-
-
-def _max_degree_rows(config, n, table):
-    """Distribution summary of max degree / log2(n) per n.
-
-    The estimate is the median ratio, which has no SE here; ``mean_se`` is
-    the SE of ``mean_ratio``.
-    """
-    log2n = math.log2(n) if n > 1 else 1.0
-    ratios = table[:, 0] / log2n
-    mean, mean_se = _mean_se(ratios)
-    return [_row({"n": n}, np.median(ratios), limit=1.0, mean_ratio=_clean(mean),
-                 mean_se=_clean(mean_se),
-                 min_ratio=_clean(ratios.min()), q10_ratio=_clean(np.quantile(ratios, 0.10)),
-                 q90_ratio=_clean(np.quantile(ratios, 0.90)))]
-
-
-# --------------------------------------------------------------------------
 # counts of small-degree nodes in levels k >= 2
 
 def _kernel_higher_level(config, n, seed):
@@ -649,7 +625,6 @@ EXPERIMENTS = {
     "degree_distribution": lambda config: _run(config, _kernel_degree_distribution,
                                                _degree_distribution_rows),
     "level_sizes": lambda config: _run(config, _kernel_level_sizes, _level_sizes_rows),
-    "max_degree": lambda config: _run(config, _kernel_max_degree, _max_degree_rows),
     "higher_level_small_degree": lambda config: _run(config, _kernel_higher_level,
                                                      _higher_level_rows),
     "tail_vs_bound": lambda config: _run(config, None, _tail_vs_bound_rows),

@@ -154,8 +154,8 @@ def test_stats_refuses_thresholds_without_levels(capsys):
     ["bounds", "--i", "3", "--n", "100", "--a", "4"],
     ["moments", "--n", "10", "--k", "1,1"],
     ["moments", "--k", "1", "--table", "--ns", "4,5"],
-    ["experiment", "max_degree", "--n", "50", "--reps", "3", "--seed", "1", "--workers", "1",
-     "--format", "csv"],
+    ["experiment", "degree_distribution", "--n", "50", "--reps", "3", "--seed", "1",
+     "--workers", "1", "--format", "csv"],
 ])
 def test_out_file_holds_the_stdout_payload(tmp_path, capsys, argv):
     code, printed, _ = run_cli(capsys, *argv)
@@ -546,8 +546,8 @@ def test_experiment_file_omits_execution_settings(tmp_path, capsys):
 
 def test_experiment_echo_shows_the_clamped_worker_count(capsys, monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
-    code, _, err = run_cli(capsys, "experiment", "max_degree", "--n", "50", "--reps", "4",
-                           "--seed", "1", "--workers", "1000000")
+    code, _, err = run_cli(capsys, "experiment", "degree_distribution", "--n", "50", "--reps",
+                           "4", "--seed", "1", "--workers", "1000000")
     assert code == 0
     assert '"workers": 1, "format": "json"' in err
 
@@ -588,7 +588,7 @@ def test_experiment_refuses_a_model_it_does_not_grow(capsys):
     """Only degree_distribution grows preferential trees; the rest would
     simulate uniform trees under a config that says otherwise."""
     uniform_only = sorted(e for e, fields in experiments.READS.items() if "model" not in fields)
-    assert len(uniform_only) == 6
+    assert uniform_only == sorted(set(experiments.EXPERIMENTS) - {"degree_distribution"})
     for experiment in uniform_only + ["theorem21"]:
         code, out, err = run_cli(capsys, "experiment", experiment, "--n", "50", "--reps", "4",
                                  "--seed", "1", "--k", "2", "--model", "preferential",
@@ -679,7 +679,8 @@ def test_experiment_refuses_an_empty_grid(capsys, flag):
     (["level_exceedance", "--t", "0.5,1.5"], "t values must lie in (0, 1), got --t 0.5,1.5"),
     (["level_exceedance", "--k", ""], "--k grid must be nonempty"),
     (["first_level_degrees", "--dmax", "0"], "the degree cap must be >= 1, got --dmax 0"),
-    (["max_degree", "--reps", "0"], "an experiment needs at least one replication, got --reps 0"),
+    (["degree_distribution", "--reps", "0"],
+     "an experiment needs at least one replication, got --reps 0"),
     (["first_level_degrees", "--dmax", "7"], "this experiment caps the degree at 6, got --dmax 7"),
     (["degree_distribution", "--n", "10", "--dmax", "11"],
      "--dmax 11 exceeds the largest n=10, and a degree is at most n - 1"),
@@ -691,8 +692,8 @@ def test_experiment_refuses_an_empty_grid(capsys, flag):
      "so no ratio to it can be formed"),
     (["level_exceedance", "--n", "100000,1"],
      "experiment 'level_exceedance' needs n >= 2, got 1 in --n 100000,1"),
-    (["max_degree", "--model", "preferential"],
-     "experiment 'max_degree' grows uniform trees only; --model preferential applies to "
+    (["level_sizes", "--model", "preferential"],
+     "experiment 'level_sizes' grows uniform trees only; --model preferential applies to "
      "degree_distribution"),
 ])
 def test_experiment_refusals_give_the_flag_as_typed(capsys, monkeypatch, argv, line):
@@ -723,7 +724,7 @@ def test_tail_vs_bound_runs_without_reps_or_seed(capsys):
     assert code == 0 and out.splitlines()[0].endswith(", seed: null")
 
 
-@pytest.mark.parametrize("experiment", ["level_exceedance", "max_degree"])
+@pytest.mark.parametrize("experiment", ["level_exceedance", "degree_distribution"])
 @pytest.mark.parametrize("missing", ["--reps", "--seed"])
 def test_a_simulating_experiment_refuses_a_missing_reps_or_seed(capsys, monkeypatch,
                                                                 experiment, missing):
@@ -831,21 +832,38 @@ def test_enumerate_refuses_a_negative_level(capsys, monkeypatch, params):
      "statistic 'level_degree_count': degree d must be >= 1, got 0"),
     (["enumerate", "--n", "4", "--statistic", "level_degree_count", "--d=-1"], 1,
      "statistic 'level_degree_count': degree d must be >= 1, got -1"),
+    (["bijection", "--perm", "2,1"], 1, "images of the tree map fix position 1"),
+    (["bijection", "--perm", "1,1"], 1, "values must be a permutation of 1..n"),
+    (["bijection", "--parents", "0,5"], 1, "parents[1]=5 is not a valid target for node 2"),
+    (["moments", "--n", "1", "--k", "1"], 1, "moments are anchored at n=2; got n=1"),
+    (["moments", "--n", "20000", "--k", "1"], 2,
+     "exact moments are guarded to n <= 10000, got n=20000; factorial_moments_float serves "
+     "larger n"),
+    (["bounds", "--i", "5", "--n", "3"], 1, "need 1 <= i <= n, got i=5, n=3"),
+    (["bounds", "--i", "1", "--n", "1000000", "--a", "500"], 2,
+     "degree tails are guarded to (n - i) x rows <= 1e+08, got 999999 x 513"),
+    (["bounds", "--n", "100", "--t", "0.5", "--eps", "0.7"], 1,
+     "high-index bound needs 0 < eps < t < 1, got t=0.5, eps=0.7"),
 ])
 def test_stats_and_enumerate_refuse_before_the_echo(capsys, argv, code, line):
-    """Both echoed their settings and then refused a level or threshold."""
+    """Both echoed their settings and then refused a level or threshold, as
+    bijection, moments and bounds did a setting they could not run."""
     got, out, err = run_cli(capsys, *argv)
     assert (got, out, err) == (code, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("flag", ["--t=1.5", "--k=-5", "--dmax=0", "--eps=nan", "--reps=0",
-                                  "--seed=-1"])
+                                  "--seed=-1", "--k=", "--t="])
 def test_experiment_leaves_settings_it_never_reads_unchecked(capsys, flag):
-    """max_degree reads neither t nor k: it refused --t 1.5 and ran with --k -5.
-    tail_vs_bound reads neither the replication count nor the seed: it
-    refused --reps 0, and echoed the seed and wrote it on every row."""
-    argv = ["experiment", "max_degree", "--n", "50", "--reps", "2", "--seed", "1",
+    """degree_distribution reads neither t nor k, and level_sizes reads no
+    degree cap: an unread --t 1.5 was once refused while --k -5 ran, and an
+    empty --k or --t grid was refused wherever it was given.  tail_vs_bound
+    reads neither the replication count nor the seed: it refused --reps 0,
+    and echoed the seed and wrote it on every row."""
+    argv = ["experiment", "degree_distribution", "--n", "50", "--reps", "2", "--seed", "1",
             "--workers", "1"]
+    if flag.startswith("--dmax"):
+        argv[1] = "level_sizes"
     if flag.startswith(("--reps", "--seed")):
         argv = ["experiment", "tail_vs_bound", "--n", "500", "--workers", "1"]
     reports = []
@@ -910,7 +928,6 @@ def test_level_one_statistics_never_derive_levels(capsys, monkeypatch):
                        (("experiment", "degree_distribution", "--n", "500"), False),
                        (("experiment", "degree_distribution", "--n", "500",
                          "--model", "preferential"), True),
-                       (("experiment", "max_degree", "--n", "1,500"), False),
                        (("experiment", "level_exceedance", "--n", "500", "--k", f"2,{marked}"), False),
                        (("experiment", "level_exceedance", "--n", "500", "--k", f"2,{walked}"), True),
                        (("experiment", "level_sizes", "--n", "500", "--k", f"0,1,{sized}"), False),

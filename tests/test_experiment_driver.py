@@ -43,8 +43,6 @@ MATRIX = {
     "level_sizes": dict(
         experiment="level_sizes", n_grid=(300, 1000), replications=8, seed=14,
         k_grid=(0, 1, 2)),
-    "max_degree": dict(
-        experiment="max_degree", n_grid=(2, 500), replications=8, seed=15),
     "higher_level_small_degree": dict(
         experiment="higher_level_small_degree", n_grid=(300, 1000), replications=8,
         seed=16, k_grid=(2, 3), d_max=2),
@@ -60,7 +58,6 @@ PINNED = {
     "degree_distribution_uniform": "2bd474f36a6b578bf7798f64e1d78474b850ef5930b7bee03c7b7333c2c54a59",
     "degree_distribution_preferential": "6ecdb2da81f0db79599db1cf25ff489d6250decbee82b1a8a6025ca3ecb9baae",
     "level_sizes": "ad530d594d1f7a6e0a932eb666552b8c872d740c2fd988932bb0f3c7c29d8967",
-    "max_degree": "6cdb8b96b5ad3769ed507b9f157d4f19a0c63ccf5727684b0f4e85ad78f2c0a8",
     "higher_level_small_degree": "cc9f2fc26d347a673b66463af5a66d66fe6558b50a148837394c7d3d6a3f291c",
     "tail_vs_bound": "32a07ab76345371797e833c8874c4c352722841a3006f452ac67f061f0c68ef5",
 }
@@ -68,6 +65,12 @@ PINNED = {
 
 def rows_digest(report) -> str:
     return hashlib.sha256(json.dumps(report.rows).encode()).hexdigest()
+
+
+def test_the_table_the_settings_and_the_pins_name_the_same_experiments():
+    """An experiment added or removed touches the table, its settings and a pin."""
+    assert set(experiments.READS) == set(experiments.EXPERIMENTS)
+    assert set(experiments.EXPERIMENTS) == {config["experiment"] for config in MATRIX.values()}
 
 
 @pytest.mark.parametrize("case", sorted(MATRIX))

@@ -206,15 +206,6 @@ def test_level_sizes_k0_and_exact_column():
     assert abs(k1["estimate"] - k1["exact"]) < 4 * k1["se"]
 
 
-def test_max_degree_degenerate_two_nodes():
-    cfg = ExperimentConfig(
-        experiment="max_degree", n_grid=(2,), replications=10, seed=5, workers=1
-    )
-    rep = run_experiment(cfg)
-    assert rep.rows[0]["estimate"] == 1.0  # max degree 1, log2(2) = 1
-    assert rep.rows[0]["mean_se"] == 0.0
-
-
 def test_higher_level_requires_k_at_least_two():
     with pytest.raises(ValueError):
         run_experiment(
