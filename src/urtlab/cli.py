@@ -15,8 +15,8 @@ settings the report's ``config`` holds, and the worker count, output path
 and format beside them.  A comma-separated value that does not parse is
 refused before any echo, with its flag and text as typed.  Only an
 experiment's resource guard (exit 2) may refuse after the echo, and then
-before any replication runs; an ``--out`` path that cannot be opened is
-refused when the result is written.
+before any replication runs.  An ``--out`` path that cannot be written is
+refused before anything else, and is not created.
 
 ``_emit`` writes every text result, once the command has computed it: to
 the ``--out`` file where the command takes one and it is given, otherwise to
@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from . import bounds as bnd
@@ -74,6 +75,22 @@ def _emit(result, out) -> None:
             fh.write(result if result.endswith("\n") else result + "\n")
         else:
             result(fh)
+
+
+def _check_out(out) -> None:
+    """Refuse an ``--out`` path that cannot be written, without creating it."""
+    if not out:  # an empty --out writes to stdout
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write --out {out}: {reason}")
 
 
 def _load_input_tree(args):
@@ -322,6 +339,7 @@ def cli_main(argv=None) -> int:
         # argparse already printed usage; normalize its code to the contract
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

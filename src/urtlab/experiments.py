@@ -17,12 +17,14 @@ and that a grid is nonempty, only where the experiment reads them
 
 Each :data:`EXPERIMENTS` entry is one call of :func:`_run`, naming a
 picklable per-replication kernel of ``(config, n, seed)``, which reads its
-settings from the config by name, and a rows builder that turns the
-``(replications x columns)`` table at that ``n`` into report rows;
-``tail_vs_bound`` has no kernel, as its rows are exact, and derives no seed.
-``_run`` replicates each distinct n of the grid once, the largest first,
-and then builds the rows in grid order: the memory guards grow with n, so a
-grid whose largest n is past them refuses before any replication runs.
+settings from the config by name, the count of values it returns, and a
+rows builder that turns the ``(replications x columns)`` table at that ``n``
+into report rows; ``tail_vs_bound`` has no kernel, as its rows are exact,
+and derives no seed.  ``_run`` refuses a replication count whose seeds and
+table would pass physical memory before it derives any seed.  It then
+replicates each distinct n of the grid once, the largest first, and builds
+the rows in grid order: the memory guards grow with n, so a grid whose
+largest n is past them refuses before any replication runs.
 It opens one process pool for the whole run when :func:`run_workers`, the
 count the command line echoes, is above 1.  A kernel makes one
 :mod:`urtlab.stats` call and packs the result into a tuple.  The four
@@ -67,7 +69,7 @@ from .oracle import _degree_law_sums
 from .rng import check_seed, derive_seed
 from .stats import (degree_histogram, exceedance_threshold, streamed_level_profiles,
                     streamed_level_sizes)
-from .tree import GrowthModel, grow
+from .tree import GrowthModel, _guard_memory, grow
 
 SCHEMA = "urt-report/1"
 ECHOED = ("experiment", "n_grid")  # in every report's config echo
@@ -287,21 +289,28 @@ def _replicate(call: Callable, seeds: list[int], pool, workers: int) -> np.ndarr
     return np.asarray(pool.map(call, seeds, chunksize=max(1, len(seeds) // (workers * 8))))
 
 
-def _run(config: ExperimentConfig, kernel: Optional[Callable],
-         summarise: Callable) -> ExperimentReport:
+def _run(config: ExperimentConfig, kernel: Optional[Callable], summarise: Callable,
+         width: int = 0) -> ExperimentReport:
     """Replicate ``kernel(config, n, seed)`` at each distinct n of the grid,
     the largest first, and report the rows in grid order.
 
     ``summarise(config, n, table)`` builds the rows at ``n`` from the
     per-replication table, which is ``None`` when there is no kernel and
     nothing is simulated.  Where replication seeds are derived, every row
-    ends with the master seed, added here.
+    ends with the master seed, added here.  A kernel returns ``width``
+    values; replications whose seeds, rows and table would pass physical
+    memory raise :class:`ResourceGuardError` before any seed is derived.
     """
     t0 = time.perf_counter()
     workers = run_workers(config)
     tables = dict.fromkeys(config.n_grid)  # one per distinct n
     seed = None if kernel is None else config.seed  # the master seed, where one is read
     if kernel is not None:
+        # peak RSS per replication of level_exceedance at n = 2, 10^5 or 2 x 10^5
+        # replications against 10^3, in process (and at 10^5 in a pool of 2):
+        # 267-288 bytes at 3 values a row, 1,571 at 30 and 3,010-3,065 at 60
+        _guard_memory(config.replications * (128 + 48 * width),
+                      f"running {config.replications} replications")
         # replication r has the same seed at every n; derived before the pool
         # forks (after it, each worker's peak RSS grew by 5 MiB at n = 10^6)
         seeds = [derive_seed(seed, r) for r in range(config.replications)]
@@ -616,17 +625,21 @@ def _tail_vs_bound_rows(config, n, table):
 
 
 # each entry names its kernel when called, not when imported, so a wrapper
-# swapped onto an experiments._kernel_* attribute is the one that runs
+# swapped onto an experiments._kernel_* attribute is the one that runs; the
+# last argument is the count of values the kernel returns
 EXPERIMENTS = {
     "level_exceedance": lambda config: _run(config, _kernel_level_exceedance,
-                                            _level_exceedance_rows),
+                                            _level_exceedance_rows,
+                                            3 * len(config.k_grid) * len(config.t_grid)),
     "first_level_degrees": lambda config: _run(config, _kernel_first_level_degrees,
-                                               _first_level_degrees_rows),
+                                               _first_level_degrees_rows, config.d_max),
     "degree_distribution": lambda config: _run(config, _kernel_degree_distribution,
-                                               _degree_distribution_rows),
-    "level_sizes": lambda config: _run(config, _kernel_level_sizes, _level_sizes_rows),
+                                               _degree_distribution_rows, config.d_max),
+    "level_sizes": lambda config: _run(config, _kernel_level_sizes, _level_sizes_rows,
+                                       len(config.k_grid)),
     "higher_level_small_degree": lambda config: _run(config, _kernel_higher_level,
-                                                     _higher_level_rows),
+                                                     _higher_level_rows,
+                                                     len(config.k_grid) * (config.d_max + 2)),
     "tail_vs_bound": lambda config: _run(config, None, _tail_vs_bound_rows),
 }
 

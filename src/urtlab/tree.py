@@ -101,25 +101,20 @@ _LEVEL_BLOCK = 1 << 14  # nodes per block of uniform draws and of the level pass
 #   sizes k=40    0.156 / 0.779 / 2.58 / 19.5    0.175 / 0.784 / 2.61 / 19.3
 _MARK_CAP = 6
 
-# _Words: each rejected word costs one more vector pass, and consecutive
-# bounds near T reject about T / 2^33 of their words.  One block of 16,384
-# bounds up to T, vector pass against numpy, medians of 80-120 alternating
-# draws per run on a shared 2-vCPU host, in us, and the runs the pass won:
-# 113-240 against 206-435 (3 of 3) at T = 10^6, 164-291 against 202-395
-# (6 of 6) at 2.5 x 10^6, 186-303 against 202-401 (5 of 6) at 3 x 10^6,
-# 206-305 against 207-362 (2 of 4) at 3.5 x 10^6, 216-404 against 212-387
-# (0 of 6) at 4 x 10^6, 336-467 against 204-327 (0 of 3) at 8 x 10^6 and
-# 3,371-4,108 against 221-271 (0 of 3) at 10^8.  So a call whose largest
-# bound reaches _VECTOR_TOP (at most 2^32) is numpy's
+# _Words: each rejected word restarts the vector pass over the rest of the
+# call, and consecutive bounds near T reject about T / 2^33 of their words.
+# One block of 16,384 bounds up to T, vector pass against numpy, medians of
+# 150 alternating draws per run on a shared 2-vCPU host, in us, and the runs
+# the pass won: 195-248 against 394-414 (3 of 3) at T = 10^6, 256-314
+# against 394-418 (3 of 3) at 2 x 10^6, 308-374 against 396-401 (3 of 3) at
+# 3 x 10^6, 306-404 against 390-425 (2 of 3) at 3.5 x 10^6, 386-423 against
+# 396-426 (2 of 3) at 4 x 10^6, 656-748 against 387-413 (0 of 3) at
+# 8 x 10^6 and 14,000 against 410 (median of 5) at 10^8.  A restart costs
+# the rest of the call, so a call's cost is quadratic where rejections are
+# dense, near 2^31 (0.48 s against numpy's 0.6 ms per block): only tests
+# that move this cutoff to 2^32 draw there by the vector pass.  A call whose
+# largest bound reaches _VECTOR_TOP (at most 2^32) is numpy's
 _VECTOR_TOP = 3_000_000
-# words in one vector pass: at least after a rejection, and at most.  Against
-# (256, 2^13), all the draws of a uniform growth of 10^5 / 10^6 / 2.9 x 10^6 nodes
-# took 0.95-0.96 / 0.99-1.00 / 1.03-1.04 times the CPU time at (256, 2^14),
-# 1.10 / 1.08 / - at (256, 2^12), and 0.99-1.01 with a least of 128 or 1024
-# (medians of 40-60 alternating rounds, three runs on 2 vCPU); the level-1
-# profile took 0.96-0.97 times at 10^5 and 1.00 at 10^6.  A window's low
-# halves then take at most 64 KiB, below glibc's mmap threshold
-_WINDOW_MIN, _WINDOW_MAX = 256, 1 << 14
 
 _MAGIC = b"URT1"
 _HEADER = struct.Struct("<4sQBQ")  # magic, node count, model tag, seed
@@ -315,11 +310,12 @@ class _Words:
     64-bit word, and an unused high half waits in the state as
     ``has_uint32`` and ``uinteger``.  An array of bounds is drawn element by
     element, so :meth:`draw` reads the words of a whole array as views of
-    one ``random_raw`` array and tests them all at once, a window at a time,
-    writing the draws into the caller's buffer.  It never takes more raw
+    one ``random_raw`` array, tests all of the rest of the call at once and
+    writes the draws into the caller's buffer.  It never takes more raw
     words than the bounds left must read, so at most the last high half is
     left over.  At the first rejected word the cursor moves back to the word
-    after it, and the next window starts at the rejected element.
+    after it, and the next pass restarts at the rejected element and runs
+    over the whole rest of the call again.
     :meth:`integers` is the same draw for any bounds of at least 1, into a
     new array.
 
@@ -369,7 +365,7 @@ class _Words:
             self.__enter__()
             return out
         highs, draws = highs.view(np.uint64), out.view(np.uint64)  # products need 64 bits
-        pos, window = 0, _WINDOW_MAX
+        pos = 0
         while pos < highs.size:
             if self._head == self._words.size:  # take only words the bounds left must read
                 raw = self._bits.random_raw((highs.size - pos + 1) >> 1)
@@ -377,7 +373,7 @@ class _Words:
                 # low half first, as numpy takes them, on either byte order
                 self._words, self._head = raw.astype("<u8", copy=False).view("<u4"), 0
             head = self._head
-            stop = min(pos + window, highs.size, pos + self._words.size - head)
+            stop = min(highs.size, pos + self._words.size - head)
             h = highs[pos:stop]
             product = np.multiply(self._words[head:head + h.size], h, out=draws[pos:stop])
             low = product.astype(np.uint32)
@@ -385,11 +381,9 @@ class _Words:
             near = np.flatnonzero(low < top) if low.min() < top else []
             j = next((int(j) for j in near if low[j] < (1 << 32) % int(h[j])), -1)
             if j < 0:
-                self._head = head + h.size
-                pos, window = stop, min(2 * window, _WINDOW_MAX)
+                self._head, pos = head + h.size, stop
             else:  # that element draws again from the next word, and the words after it follow
-                self._head = head + j + 1
-                pos, window = pos + j, min(max(_WINDOW_MIN, 2 * (j + 1)), _WINDOW_MAX)
+                self._head, pos = head + j + 1, pos + j
         np.right_shift(draws, 32, out=draws)  # each draw is the high half of its product
         return out
 
@@ -462,13 +456,13 @@ def _preferential_parents(n: int, rng: np.random.Generator) -> np.ndarray:
     return parent
 
 
-def _guard_memory(n: int, bytes_per_node: int) -> None:
-    """Raise :class:`ResourceGuardError` when ``n`` nodes at ``bytes_per_node``
-    would pass physical memory; called before anything is allocated."""
+def _guard_memory(need: int, doing: str) -> None:
+    """Raise :class:`ResourceGuardError` when ``doing`` would take ``need``
+    bytes, past physical memory; called before anything is allocated."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n * bytes_per_node > memory:
-        raise ResourceGuardError(f"growing {n} nodes needs about {n * bytes_per_node >> 20}"
-                                 f" MiB, more than the {memory >> 20} MiB of physical memory")
+    if need > memory:
+        raise ResourceGuardError(f"{doing} needs about {need >> 20} MiB,"
+                                 f" more than the {memory >> 20} MiB of physical memory")
 
 
 def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
@@ -481,7 +475,7 @@ def grow(model: Union[str, GrowthModel], n: int, seed: int) -> RecursiveTree:
     """
     model = GrowthModel.parse(model)
     n = model.node_count(n)
-    _guard_memory(n, GROWTH_BYTES_PER_NODE)
+    _guard_memory(n * GROWTH_BYTES_PER_NODE, f"growing {n} nodes")
     seed = check_seed(seed)
     sample = _uniform_parents if model is GrowthModel.UNIFORM else _preferential_parents
     return _adopted(sample(n, generator(seed)), model, seed)
@@ -495,7 +489,7 @@ def _uniform_levels(n: int, seed: int, cap: int) -> Iterator[tuple[int, np.ndarr
     """
     n = GrowthModel.UNIFORM.node_count(n)
     dtype = np.min_scalar_type(cap)
-    _guard_memory(n, STREAM_BYTES_PER_NODE * dtype.itemsize)
+    _guard_memory(n * STREAM_BYTES_PER_NODE * dtype.itemsize, f"growing {n} nodes")
     levels = np.zeros(n, dtype=dtype)
     yield from _level_pass(_uniform_blocks(n, generator(seed)), levels, cap)
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import re
 import struct
 import time
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from urtlab import cli as cli_module
 from urtlab.cli import build_parser, cli_main
 from urtlab import experiments, moments, stats
 from urtlab import tree as tree_module
@@ -165,6 +167,31 @@ def test_out_file_holds_the_stdout_payload(tmp_path, capsys, argv):
     assert code == 0 and out == ""
     assert path.read_bytes() == printed.encode()
     assert f'"out": {json.dumps(str(path))}' in err
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "level_sizes", "--n", "50", "--reps", "2", "--seed", "1"],
+    ["moments", "--n", "10", "--k", "1"],
+])
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.json", "no directory {tmp}/missing"),
+    (".", "it is a directory"),
+])
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                     where, reason):
+    """Exit 1 and one error line, before the echo; nothing is replicated or
+    computed, and no file or directory is made."""
+    monkeypatch.setattr(experiments, "_replicate", _fail)
+    monkeypatch.setattr(cli_module, "exact_factorial_moment", _fail)
+    out_path = tmp_path / where
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write --out {out_path}: {reason.format(tmp=tmp_path)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stats_from_seed(capsys):
@@ -442,6 +469,23 @@ def test_growth_past_physical_memory_exits_2_before_allocating(capsys, monkeypat
     assert code == 2 and out == ""
     assert err.count("error:") == 1 and "physical memory" in err and "Traceback" not in err
     assert peak < 2**20
+
+
+def test_replications_past_physical_memory_exit_2_before_any_seed(capsys, monkeypatch):
+    """With 1 MiB of memory, 10^5 replications of one value each are refused
+    after the echo, before a seed is derived or a replication runs."""
+    sysconf = os.sysconf
+    pages = (1 << 20) // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+    monkeypatch.setattr(experiments, "derive_seed", _fail)
+    monkeypatch.setattr(experiments, "_replicate", _fail)
+    code, out, err = run_cli(capsys, "experiment", "level_sizes", "--n", "50", "--reps", "100000",
+                             "--seed", "1")
+    assert code == 2 and out == ""
+    echo, error = err.splitlines()
+    assert echo.startswith("# urtlab experiment")
+    assert error == ("error: running 100000 replications needs about 16 MiB, "
+                     "more than the 1 MiB of physical memory")
 
 
 @pytest.mark.parametrize("work", [("--a", "3"), ("--t", "0.5", "--eps", "0.1")])

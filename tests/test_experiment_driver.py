@@ -18,6 +18,8 @@ import hashlib
 import json
 import math
 import multiprocessing.pool
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -158,6 +160,44 @@ def test_a_grid_past_the_memory_guard_replicates_no_smaller_n(monkeypatch):
     with pytest.raises(ResourceGuardError, match="physical memory"):
         run_experiment(config)
     assert calls == [10**12]
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX))
+def test_the_memory_guard_counts_the_values_each_kernel_returns(case, monkeypatch):
+    """The width an experiment gives :func:`experiments._run` is its table's."""
+    widths, tables = [], []
+    run, replicate = experiments._run, experiments._replicate
+
+    def recording_run(config, kernel, summarise, width=0):
+        widths.append(width)
+        return run(config, kernel, summarise, width)
+
+    def recording_replicate(*args):
+        tables.append(replicate(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(experiments, "_run", recording_run)
+    monkeypatch.setattr(experiments, "_replicate", recording_replicate)
+    run_experiment(ExperimentConfig(**{**MATRIX[case], "replications": 2}, workers=1))
+    assert [table.shape for table in tables] == [(2, *widths)] * len(tables)
+    assert tables or widths == [0]
+
+
+def test_replications_past_physical_memory_derive_no_seed(monkeypatch):
+    """At 1 MiB of memory, 10^4 replications of 12 values are refused before
+    any seed is derived, and 100 still run."""
+    sysconf = os.sysconf
+    pages = (1 << 20) // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+    config = ExperimentConfig(**{**MATRIX["level_exceedance"], "replications": 100}, workers=1)
+    assert len(run_experiment(config).rows) == 8
+
+    def refusing(*args):
+        raise AssertionError("a seed was derived")
+
+    monkeypatch.setattr(experiments, "derive_seed", refusing)
+    with pytest.raises(ResourceGuardError, match="running 10000 replications needs about 6 MiB"):
+        run_experiment(replace(config, replications=10**4))
 
 
 # sha256 of the rows of level_exceedance at n_grid=(500, 200, 500), 3 replications, seed 1,

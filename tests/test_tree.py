@@ -286,8 +286,11 @@ WORD_CALLS = pytest.mark.parametrize("calls", [
     [np.concatenate((np.full(5000, 2**31 + 1), [1], np.full(50, 2**31 + 1), [1], np.arange(2, 40))),
      np.arange(2, 30)],
     [np.arange(_VECTOR_TOP - 8, _VECTOR_TOP + 8), np.arange(2, 50)],
+    # a full block just below the cutoff: the vector pass restarts at several rejections
+    [np.arange(_VECTOR_TOP - B, _VECTOR_TOP)],
 ], ids=["rejections", "rejections_then_more", "odd_word_count", "straddling_2^32", "empty",
-        "bounds_of_one", "uniform_blocks", "ones_around_numpy", "straddling_vector_top"])
+        "bounds_of_one", "uniform_blocks", "ones_around_numpy", "straddling_vector_top",
+        "block_below_vector_top"])
 PENDING = pytest.mark.parametrize("pending", [False, True], ids=["", "pending_half"])
 
 
